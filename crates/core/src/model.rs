@@ -4,7 +4,7 @@ use crate::aux::{AuxInfo, StepEmbedding};
 use crate::cond_feature::CondFeatureModule;
 use crate::config::PristiConfig;
 use crate::error::PristiError;
-use crate::noise_estimation::{LayerPriorCache, NoiseEstimationLayer};
+use crate::noise_estimation::{LayerPrior, NoiseEstimationLayer};
 use st_rand::{Rng, SeedableRng, StdRng};
 use st_graph::SensorGraph;
 use st_tensor::graph::{Graph, Tx};
@@ -163,7 +163,9 @@ impl PristiModel {
     ///   observations, or masked raw observations for `mix-STI`/CSDI);
     /// * `steps` — per-sample diffusion step indices, length `B`.
     ///
-    /// Returns the predicted noise `[B, N, L]` on the tape.
+    /// Returns the predicted noise `[B, N, L]` on the tape. The prior half
+    /// is built on the same tape, so gradients reach `H^pri` and every
+    /// prior-derived attention weight.
     pub fn predict_eps(&self, g: &mut Graph<'_>, noisy: Tx, cond: Tx, steps: &[usize]) -> Tx {
         let (n, l) = (self.n_nodes, self.len);
         let b = steps.len();
@@ -173,15 +175,38 @@ impl PristiModel {
         let cond4 = g.reshape(cond, &[b, n, l, 1]);
         let noisy4 = g.reshape(noisy, &[b, n, l, 1]);
         let u = self.aux.forward(g); // [N, L, d], broadcasts over batch
+        let priors = self.layer_priors(g, cond4, u, b);
+        self.noise_path(g, cond4, noisy4, u, &priors, steps)
+    }
 
-        // Conditional feature H^pri (Eq. 5) from noise-free information.
+    /// The step-invariant half of the graph: the conditional feature `H^pri`
+    /// (Eq. 5) from noise-free information, then each layer's
+    /// [`LayerPrior`] projected from it.
+    fn layer_priors(&self, g: &mut Graph<'_>, cond4: Tx, u: Tx, b: usize) -> Vec<LayerPrior> {
+        let (n, l) = (self.n_nodes, self.len);
         let h_pri = self.cond_feature.as_ref().map(|cf| {
             let h0 = self.cond_proj.forward(g, cond4);
             let h = g.add(h0, u);
             cf.forward(g, h, b, n, l)
         });
+        self.layers.iter().map(|layer| layer.prior(g, h_pri, b, n, l)).collect()
+    }
 
-        // Noisy input H^in = Conv(𝒳 ‖ X̃ᵗ) (+ U).
+    /// The step-dependent half of the graph, shared by training and both
+    /// inference paths: the noisy input `H^in = Conv(𝒳 ‖ X̃ᵗ) (+ U)`, the
+    /// step embedding, the layer stack against `priors`, and the output
+    /// head. Returns the predicted noise `[B, N, L]`.
+    fn noise_path(
+        &self,
+        g: &mut Graph<'_>,
+        cond4: Tx,
+        noisy4: Tx,
+        u: Tx,
+        priors: &[LayerPrior],
+        steps: &[usize],
+    ) -> Tx {
+        let (n, l) = (self.n_nodes, self.len);
+        let b = steps.len();
         let cat = g.concat_last(&[cond4, noisy4]);
         let hin0 = self.input_proj.forward(g, cat);
         let mut x = g.add(hin0, u);
@@ -189,8 +214,8 @@ impl PristiModel {
         let se = self.step_emb.forward(g, steps); // [B, d]
 
         let mut skips: Vec<Tx> = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (res, skip) = layer.forward(g, x, h_pri, se, b, n, l);
+        for (layer, prior) in self.layers.iter().zip(priors) {
+            let (res, skip) = layer.forward(g, x, prior, se, b, n, l);
             x = res;
             skips.push(skip);
         }
@@ -219,9 +244,9 @@ impl PristiModel {
     }
 
     /// Materialise everything in the ε-prediction graph that does not depend
-    /// on the diffusion step: the conditional prior `H^pri` (Eq. 5), the
-    /// auxiliary embedding `U`, the replicated conditional input, and each
-    /// layer's prior-derived attention weights / adaptive adjacency.
+    /// on the diffusion step: the auxiliary embedding `U`, the replicated
+    /// conditional input, and each layer's [`LayerPrior`] (prior-derived
+    /// attention weights and adaptive adjacency).
     ///
     /// * `cond` — `[R, N, L]` conditional information, one row per *request*
     ///   (deduplicated: not per ensemble sample);
@@ -245,36 +270,28 @@ impl PristiModel {
         let cond_tx = g.input(cond.clone());
         let cond4_tx = g.reshape(cond_tx, &[r, n, l, 1]);
         let u_tx = self.aux.forward(&mut g);
-        let h_pri_tx = self.cond_feature.as_ref().map(|cf| {
-            let h0 = self.cond_proj.forward(&mut g, cond4_tx);
-            let h = g.add(h0, u_tx);
-            cf.forward(&mut g, h, r, n, l)
-        });
+        let expand = |g: &Graph<'_>, w: Tx| expand_batch(g.value(w), r, counts, s_total);
         let layers = self
-            .layers
-            .iter()
-            .map(|layer| {
-                let lc = layer.precompute(&mut g, h_pri_tx, r, n, l);
-                LayerPriorCache {
-                    attn_tem: lc.attn_tem.map(|w| expand_batch(&w, r, counts, s_total)),
-                    attn_spa: lc.attn_spa.map(|w| expand_batch(&w, r, counts, s_total)),
-                    mpnn_adp: lc.mpnn_adp,
-                }
+            .layer_priors(&mut g, cond4_tx, u_tx, r)
+            .into_iter()
+            .map(|p| LayerPrior {
+                attn_tem: p.attn_tem.map(|w| expand(&g, w)),
+                attn_spa: p.attn_spa.map(|w| expand(&g, w)),
+                mpnn_adp: p.mpnn_adp.map(|a| g.value(a).clone()),
             })
             .collect();
         PriorCache {
             s_total,
-            cond4: expand_batch(g.value(cond4_tx), r, counts, s_total),
+            cond4: expand(&g, cond4_tx),
             u: g.value(u_tx).clone(),
-            h_pri: h_pri_tx.map(|t| g.value(t).clone()),
             layers,
         }
     }
 
     /// Build the step-dependent half of the ε-prediction graph against a
-    /// [`PriorCache`]: input projection of `𝒳 ‖ X̃ᵗ`, step embedding, and the
-    /// layer stack replaying the cached attention weights. Bitwise identical
-    /// to [`Self::predict_eps`] on the replicated conditional.
+    /// [`PriorCache`], re-injecting its tensors as tape inputs. Runs the same
+    /// noise path as [`Self::predict_eps`], so it is bitwise identical to it
+    /// on the replicated conditional.
     ///
     /// `noisy` must be `[S_total, N, L]` with `S_total` matching the cache.
     pub fn predict_eps_cached(
@@ -291,32 +308,17 @@ impl PristiModel {
         let noisy4 = g.reshape(noisy, &[b, n, l, 1]);
         let cond4 = g.input(cache.cond4.clone());
         let u = g.input(cache.u.clone());
-
-        // Noisy input H^in = Conv(𝒳 ‖ X̃ᵗ) (+ U); the prior is already in
-        // the cache as per-layer attention weights.
-        let cat = g.concat_last(&[cond4, noisy4]);
-        let hin0 = self.input_proj.forward(g, cat);
-        let mut x = g.add(hin0, u);
-
-        let steps = vec![t; b];
-        let se = self.step_emb.forward(g, &steps); // [B, d]
-
-        let mut skips: Vec<Tx> = Vec::with_capacity(self.layers.len());
-        for (layer, lc) in self.layers.iter().zip(&cache.layers) {
-            let (res, skip) = layer.forward_cached(g, x, lc, se, b, n, l);
-            x = res;
-            skips.push(skip);
-        }
-        let mut skip_sum = skips[0];
-        for &s in &skips[1..] {
-            skip_sum = g.add(skip_sum, s);
-        }
-        let scaled = g.scale(skip_sum, 1.0 / (self.layers.len() as f32).sqrt());
-        let a1 = g.relu(scaled);
-        let h1 = self.out1.forward(g, a1);
-        let a2 = g.relu(h1);
-        let out = self.out2.forward(g, a2); // [B, N, L, 1]
-        g.reshape(out, &[b, n, l])
+        let mut input = |w: &Option<NdArray>| w.as_ref().map(|w| g.input(w.clone()));
+        let priors: Vec<LayerPrior> = cache
+            .layers
+            .iter()
+            .map(|p| LayerPrior {
+                attn_tem: input(&p.attn_tem),
+                attn_spa: input(&p.attn_spa),
+                mpnn_adp: input(&p.mpnn_adp),
+            })
+            .collect();
+        self.noise_path(g, cond4, noisy4, u, &priors, &vec![t; b])
     }
 
     /// Evaluation-mode counterpart of [`Self::predict_eps_eval`] for the
@@ -344,13 +346,8 @@ pub struct PriorCache {
     cond4: NdArray,
     /// Auxiliary embedding `U`, `[N, L, d]` (broadcasts over the batch).
     u: NdArray,
-    /// Conditional feature `H^pri` (Eq. 5) per request, `[R, N, L, d]`;
-    /// `None` for prior-free variants. The per-step path only needs the
-    /// attention weights derived from it, but the prior itself is retained
-    /// for inspection and footprint accounting.
-    h_pri: Option<NdArray>,
-    /// Per-layer cached attention weights and adaptive adjacency.
-    layers: Vec<LayerPriorCache>,
+    /// Per-layer prior tensors, attention weights expanded to `S_total`.
+    layers: Vec<LayerPrior<NdArray>>,
 }
 
 impl PriorCache {
@@ -359,19 +356,15 @@ impl PriorCache {
         self.s_total
     }
 
-    /// The conditional feature `H^pri`, `[R, N, L, d]`, when the model has a
-    /// conditional feature module.
-    pub fn h_pri(&self) -> Option<&NdArray> {
-        self.h_pri.as_ref()
-    }
-
     /// Approximate memory footprint of all cached tensors in bytes.
     pub fn bytes(&self) -> usize {
-        let f = std::mem::size_of::<f32>();
-        self.cond4.numel() * f
-            + self.u.numel() * f
-            + self.h_pri.as_ref().map_or(0, |h| h.numel() * f)
-            + self.layers.iter().map(LayerPriorCache::bytes).sum::<usize>()
+        let layers = self.layers.iter().flat_map(|p| [&p.attn_tem, &p.attn_spa, &p.mpnn_adp]);
+        let numel: usize = [&self.cond4, &self.u]
+            .into_iter()
+            .chain(layers.flatten())
+            .map(NdArray::numel)
+            .sum();
+        numel * std::mem::size_of::<f32>()
     }
 }
 
@@ -525,6 +518,14 @@ mod tests {
         // minimum the output head and several layer params must be touched.
         assert!(grads.get("out2.w").is_some());
         assert!(grads.get("out1.w").is_some());
+        // The prior is built on the training tape, so the conditional
+        // feature module must learn too.
+        let cond_feat: Vec<&String> =
+            model.store.iter().map(|(name, _)| name).filter(|n| n.starts_with("cond_feat.")).collect();
+        assert!(!cond_feat.is_empty());
+        for name in cond_feat {
+            assert!(grads.get(name).is_some(), "no gradient for {name}");
+        }
         let n_with_grad = grads.len();
         let n_params = model.store.len();
         assert!(

@@ -21,41 +21,32 @@ use crate::config::PristiConfig;
 use st_rand::Rng;
 use st_graph::SensorGraph;
 use st_tensor::graph::{Graph, Tx};
-use st_tensor::ndarray::NdArray;
 use st_tensor::nn::{gated_activation, LayerNorm, Linear, Mlp, Mpnn, MultiHeadAttention};
 use st_tensor::param::ParamStore;
 
-/// Step-invariant tensors of one noise-estimation layer, materialised once
-/// per impute request for the prior-cached inference path.
+/// The step-invariant, prior-derived tensors of one noise-estimation layer,
+/// built by [`NoiseEstimationLayer::prior`] and consumed by
+/// [`NoiseEstimationLayer::forward`].
 ///
 /// PriSTI's attention *weights* are projected from the conditional prior
 /// `H^pri` (Eqs. 7–8), which does not depend on the diffusion step, and the
-/// adaptive MPNN adjacency depends only on learned node embeddings — so all
-/// three tensors can be computed once and replayed at every reverse step.
-/// Fields are `None` exactly when the corresponding sub-module is disabled
-/// by the configuration or (for attention) runs prior-free self-attention,
-/// which reads the step-dependent hidden state and therefore cannot be
-/// cached.
+/// adaptive MPNN adjacency depends only on learned node embeddings. Training
+/// keeps all three on its tape (`T = Tx`, so gradients reach the prior and
+/// the Q/K projections); inference materialises them once per request
+/// (`T = NdArray`, held by [`crate::PriorCache`]) and re-injects them as
+/// tape inputs at every reverse step. Fields are `None` exactly when the
+/// corresponding sub-module is disabled by the configuration or (for
+/// attention) runs prior-free self-attention, which reads the step-dependent
+/// hidden state instead.
 #[derive(Debug, Clone)]
-pub struct LayerPriorCache {
+pub struct LayerPrior<T = Tx> {
     /// Softmaxed temporal attention weights, `[(B·N)·heads, L, L]`.
-    pub attn_tem: Option<NdArray>,
+    pub attn_tem: Option<T>,
     /// Softmaxed spatial attention weights, `[(B·L)·heads, N, k]` where `k`
     /// is the virtual-node count (or `N` without downsampling).
-    pub attn_spa: Option<NdArray>,
+    pub attn_spa: Option<T>,
     /// Adaptive adjacency `softmax(relu(E₁E₂ᵀ))`, `[N, N]` (batch-free).
-    pub mpnn_adp: Option<NdArray>,
-}
-
-impl LayerPriorCache {
-    /// Approximate memory footprint of the cached tensors in bytes.
-    pub fn bytes(&self) -> usize {
-        [&self.attn_tem, &self.attn_spa, &self.mpnn_adp]
-            .into_iter()
-            .flatten()
-            .map(|a| a.numel() * std::mem::size_of::<f32>())
-            .sum()
-    }
+    pub mpnn_adp: Option<T>,
 }
 
 /// One residual layer of the noise estimation module.
@@ -137,11 +128,37 @@ impl NoiseEstimationLayer {
         }
     }
 
+    /// Build this layer's [`LayerPrior`] from the conditional prior `h_pri`
+    /// (`[B, N, L, d]`, `None` for prior-free variants).
+    pub fn prior(
+        &self,
+        g: &mut Graph<'_>,
+        h_pri: Option<Tx>,
+        b: usize,
+        n: usize,
+        l: usize,
+    ) -> LayerPrior {
+        let d = self.d_model;
+        let pri = h_pri.filter(|_| self.use_prior);
+        let attn_tem = self.attn_tem.as_ref().zip(pri).map(|(attn, pri)| {
+            let pt = shapes::to_temporal(g, pri, b, n, l, d);
+            attn.attention_weights(g, pt)
+        });
+        // Spatial attention only runs inside the `use_spatial` branch, which
+        // `self.attn_spa.is_some()` already encodes.
+        let attn_spa = self.attn_spa.as_ref().zip(pri).map(|(attn, pri)| {
+            let ps = shapes::to_spatial(g, pri, b, n, l, d);
+            attn.attention_weights(g, ps)
+        });
+        let mpnn_adp = self.mpnn.as_ref().and_then(|m| m.adaptive_adjacency(g));
+        LayerPrior { attn_tem, attn_spa, mpnn_adp }
+    }
+
     /// Run one layer.
     ///
     /// * `x` — layer input `[B, N, L, d]`;
-    /// * `h_pri` — conditional feature `[B, N, L, d]` (ignored unless the
-    ///   config enables prior-weighted attention);
+    /// * `prior` — this layer's prior-derived tensors from [`Self::prior`]
+    ///   (built on this tape, or injected from a cache);
     /// * `step_emb` — diffusion-step embedding `[B, d]`.
     ///
     /// Returns `(residual, skip)`, both `[B, N, L, d]`.
@@ -150,7 +167,7 @@ impl NoiseEstimationLayer {
         &self,
         g: &mut Graph<'_>,
         x: Tx,
-        h_pri: Option<Tx>,
+        prior: &LayerPrior,
         step_emb: Tx,
         b: usize,
         n: usize,
@@ -162,15 +179,13 @@ impl NoiseEstimationLayer {
         let sp4 = g.reshape(sp, &[b, 1, 1, d]);
         let mut y = g.add(x, sp4);
 
-        // γ_T — temporal dependency learning (Eq. 6 first line).
+        // γ_T — temporal dependency learning (Eq. 6 first line): prior
+        // weights, or self-attention for prior-free variants.
         if let Some(attn_tem) = &self.attn_tem {
             let yt = shapes::to_temporal(g, y, b, n, l, d);
-            let out = match (self.use_prior, h_pri) {
-                (true, Some(pri)) => {
-                    let pt = shapes::to_temporal(g, pri, b, n, l, d);
-                    attn_tem.forward(g, pt, yt)
-                }
-                _ => attn_tem.forward_self(g, yt),
+            let out = match prior.attn_tem {
+                Some(w) => attn_tem.forward_with_weights(g, w, yt),
+                None => attn_tem.forward_self(g, yt),
             };
             y = shapes::from_temporal(g, out, b, n, l, d);
         }
@@ -180,18 +195,15 @@ impl NoiseEstimationLayer {
             let ys = shapes::to_spatial(g, y, b, n, l, d);
             let mut parts: Vec<Tx> = Vec::with_capacity(2);
             if let (Some(attn_spa), Some(norm_spa)) = (&self.attn_spa, &self.norm_spa) {
-                let out = match (self.use_prior, h_pri) {
-                    (true, Some(pri)) => {
-                        let ps = shapes::to_spatial(g, pri, b, n, l, d);
-                        attn_spa.forward(g, ps, ys)
-                    }
-                    _ => attn_spa.forward_self(g, ys),
+                let out = match prior.attn_spa {
+                    Some(w) => attn_spa.forward_with_weights(g, w, ys),
+                    None => attn_spa.forward_self(g, ys),
                 };
                 let res = g.add(out, ys);
                 parts.push(norm_spa.forward(g, res));
             }
             if let (Some(mpnn), Some(norm_mp)) = (&self.mpnn, &self.norm_mp) {
-                let out = mpnn.forward(g, ys);
+                let out = mpnn.forward_with_adaptive(g, ys, prior.mpnn_adp);
                 let res = g.add(out, ys);
                 parts.push(norm_mp.forward(g, res));
             }
@@ -205,124 +217,6 @@ impl NoiseEstimationLayer {
         }
 
         // Gated activation + residual/skip split (DiffWave convention).
-        let mid = self.mid_proj.forward(g, y);
-        let gated = gated_activation(g, mid);
-        let proj = self.out_proj.forward(g, gated);
-        let res_half = g.slice_last(proj, 0, d);
-        let skip = g.slice_last(proj, d, d);
-        let residual = g.add_scale(x, res_half, std::f32::consts::FRAC_1_SQRT_2);
-        (residual, skip)
-    }
-
-    /// Materialise this layer's step-invariant tensors (see
-    /// [`LayerPriorCache`]) from the conditional prior `h_pri`
-    /// (`[B, N, L, d]`, `None` for prior-free variants).
-    ///
-    /// The attention weights are produced by exactly the ops
-    /// [`Self::forward`] runs inline (`MultiHeadAttention::forward` is the
-    /// composition of `attention_weights` and `forward_with_weights`), so
-    /// replaying them via [`Self::forward_cached`] is bitwise identical.
-    pub fn precompute(
-        &self,
-        g: &mut Graph<'_>,
-        h_pri: Option<Tx>,
-        b: usize,
-        n: usize,
-        l: usize,
-    ) -> LayerPriorCache {
-        let d = self.d_model;
-        let cacheable = self.use_prior.then_some(()).and(h_pri);
-        let attn_tem = match (&self.attn_tem, cacheable) {
-            (Some(attn), Some(pri)) => {
-                let pt = shapes::to_temporal(g, pri, b, n, l, d);
-                let w = attn.attention_weights(g, pt);
-                Some(g.value(w).clone())
-            }
-            _ => None,
-        };
-        // Spatial attention only runs inside the `use_spatial` branch, which
-        // `self.attn_spa.is_some()` already encodes.
-        let attn_spa = match (&self.attn_spa, cacheable) {
-            (Some(attn), Some(pri)) => {
-                let ps = shapes::to_spatial(g, pri, b, n, l, d);
-                let w = attn.attention_weights(g, ps);
-                Some(g.value(w).clone())
-            }
-            _ => None,
-        };
-        let mpnn_adp = self
-            .mpnn
-            .as_ref()
-            .and_then(|m| m.adaptive_adjacency(g).map(|tx| g.value(tx).clone()));
-        LayerPriorCache { attn_tem, attn_spa, mpnn_adp }
-    }
-
-    /// Run one layer reusing a [`LayerPriorCache`] instead of recomputing the
-    /// prior-derived tensors. Arguments and return match [`Self::forward`];
-    /// the output is bitwise identical for a cache built from the same
-    /// `h_pri` that `forward` would receive.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_cached(
-        &self,
-        g: &mut Graph<'_>,
-        x: Tx,
-        cache: &LayerPriorCache,
-        step_emb: Tx,
-        b: usize,
-        n: usize,
-        l: usize,
-    ) -> (Tx, Tx) {
-        let d = self.d_model;
-        let sp = self.step_proj.forward(g, step_emb);
-        let sp4 = g.reshape(sp, &[b, 1, 1, d]);
-        let mut y = g.add(x, sp4);
-
-        // γ_T — cached prior-derived weights, or self-attention on the
-        // step-dependent hidden state for prior-free variants (matching the
-        // fallback arm of `forward`).
-        if let Some(attn_tem) = &self.attn_tem {
-            let yt = shapes::to_temporal(g, y, b, n, l, d);
-            let out = match &cache.attn_tem {
-                Some(w) => {
-                    let wt = g.input(w.clone());
-                    attn_tem.forward_with_weights(g, wt, yt)
-                }
-                None => attn_tem.forward_self(g, yt),
-            };
-            y = shapes::from_temporal(g, out, b, n, l, d);
-        }
-
-        // γ_S — same structure as `forward`, with cached spatial weights and
-        // cached adaptive adjacency injected where available.
-        if let Some(mlp_spa) = &self.mlp_spa {
-            let ys = shapes::to_spatial(g, y, b, n, l, d);
-            let mut parts: Vec<Tx> = Vec::with_capacity(2);
-            if let (Some(attn_spa), Some(norm_spa)) = (&self.attn_spa, &self.norm_spa) {
-                let out = match &cache.attn_spa {
-                    Some(w) => {
-                        let wt = g.input(w.clone());
-                        attn_spa.forward_with_weights(g, wt, ys)
-                    }
-                    None => attn_spa.forward_self(g, ys),
-                };
-                let res = g.add(out, ys);
-                parts.push(norm_spa.forward(g, res));
-            }
-            if let (Some(mpnn), Some(norm_mp)) = (&self.mpnn, &self.norm_mp) {
-                let adp = cache.mpnn_adp.as_ref().map(|a| g.input(a.clone()));
-                let out = mpnn.forward_with_adaptive(g, ys, adp);
-                let res = g.add(out, ys);
-                parts.push(norm_mp.forward(g, res));
-            }
-            let combined = match parts.len() {
-                2 => g.add(parts[0], parts[1]),
-                1 => parts[0],
-                _ => ys,
-            };
-            let sp_out = mlp_spa.forward(g, combined);
-            y = shapes::from_spatial(g, sp_out, b, n, l, d);
-        }
-
         let mid = self.mid_proj.forward(g, y);
         let gated = gated_activation(g, mid);
         let proj = self.out_proj.forward(g, gated);
@@ -367,7 +261,8 @@ mod tests {
         let x = g.input(NdArray::randn(&[b, n, l, d], &mut rng));
         let pri = with_prior.then(|| g.input(NdArray::randn(&[b, n, l, d], &mut rng)));
         let se = g.input(NdArray::randn(&[b, d], &mut rng));
-        let (res, skip) = layer.forward(&mut g, x, pri, se, b, n, l);
+        let prior = layer.prior(&mut g, pri, b, n, l);
+        let (res, skip) = layer.forward(&mut g, x, &prior, se, b, n, l);
         (g.shape(res).to_vec(), g.shape(skip).to_vec())
     }
 
@@ -425,7 +320,8 @@ mod tests {
             let x = g.input(x_val.clone());
             let pri = g.input(pri_val.clone());
             let se = g.input(se_val.clone());
-            let (res, _) = layer.forward(&mut g, x, Some(pri), se, 1, 4, 5);
+            let prior = layer.prior(&mut g, Some(pri), 1, 4, 5);
+            let (res, _) = layer.forward(&mut g, x, &prior, se, 1, 4, 5);
             g.value(res).data().to_vec()
         };
         let o1 = run(&p1);
@@ -443,7 +339,8 @@ mod tests {
         let x = g.input(NdArray::randn(&[1, 4, 5, d], &mut rng));
         let pri = g.input(NdArray::randn(&[1, 4, 5, d], &mut rng));
         let se = g.input(NdArray::randn(&[1, d], &mut rng));
-        let (res, skip) = layer.forward(&mut g, x, Some(pri), se, 1, 4, 5);
+        let prior = layer.prior(&mut g, Some(pri), 1, 4, 5);
+        let (res, skip) = layer.forward(&mut g, x, &prior, se, 1, 4, 5);
         let total = g.add(res, skip);
         let t = g.input(NdArray::zeros(&[1, 4, 5, d]));
         let m = g.input(NdArray::ones(&[1, 4, 5, d]));
@@ -451,10 +348,15 @@ mod tests {
         let grads = g.backward(loss);
         for p in [
             "l0.step_proj.w",
+            "l0.attn_tem.wq.w",
+            "l0.attn_tem.wk.w",
             "l0.attn_tem.wv.w",
+            "l0.attn_spa.wk.w",
             "l0.attn_spa.wv.w",
             "l0.attn_spa.pk",
             "l0.mpnn.proj.w",
+            "l0.mpnn.e1",
+            "l0.mpnn.e2",
             "l0.mlp_spa.l1.w",
             "l0.mid_proj.w",
             "l0.out_proj.w",

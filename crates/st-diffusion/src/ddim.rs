@@ -11,11 +11,12 @@
 //! x_{τ'} = √ᾱ_{τ'}·x̂₀ + √(1−ᾱ_{τ'} − σ²)·ε̂ + σ·z
 //! ```
 //!
-//! with `σ = η·σ_DDPM` (η = 0 gives fully deterministic sampling). The same
-//! [`NoisePredictor`] drives both samplers, so a model trained once can be
-//! sampled at any speed/quality trade-off.
+//! with `σ = η·σ_DDPM` (η = 0 gives fully deterministic sampling). The update
+//! needs nothing the DDPM ε-predictor does not already provide, so a model
+//! trained once can be sampled at any speed/quality trade-off: the
+//! [`crate::process::Ddim`] solver walks this grid, and the [`crate::process::Pndm`]
+//! and [`crate::process::Refine`] solvers reuse its transfer map.
 
-use crate::ddpm::NoisePredictor;
 use crate::schedule::DiffusionSchedule;
 use st_rand::StdRng;
 use st_tensor::NdArray;
@@ -99,27 +100,6 @@ pub fn ddim_step(
     out
 }
 
-/// Full accelerated reverse process: `n_steps` network evaluations instead of
-/// `schedule.t_steps()`.
-pub fn ddim_sample<P: NoisePredictor + ?Sized>(
-    predictor: &P,
-    shape: &[usize],
-    schedule: &DiffusionSchedule,
-    n_steps: usize,
-    eta: f64,
-    rng: &mut StdRng,
-) -> NdArray {
-    let taus = ddim_timesteps(schedule.t_steps(), n_steps);
-    let mut x = NdArray::randn(shape, rng);
-    for i in (0..taus.len()).rev() {
-        let t = taus[i];
-        let t_prev = if i == 0 { 0 } else { taus[i - 1] };
-        let eps_hat = predictor.predict(&x, t);
-        x = ddim_step(&x, &eps_hat, schedule, t, t_prev, eta, rng);
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,30 +121,6 @@ mod tests {
         assert_eq!(ddim_timesteps(50, 1), vec![1, 50]);
         let all = ddim_timesteps(10, 10);
         assert_eq!(all, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-    }
-
-    /// With an oracle ε-predictor, deterministic DDIM recovers the target in
-    /// very few steps — much more precisely than DDPM at the same count.
-    #[test]
-    fn oracle_ddim_recovers_target_in_few_steps() {
-        let schedule = DiffusionSchedule::pristi_default(50);
-        let target = -0.8f32;
-        let sched = schedule.clone();
-        let oracle = move |x_t: &NdArray, t: usize| -> NdArray {
-            let ab = sched.alpha_bar(t) as f32;
-            x_t.map(|x| (x - ab.sqrt() * target) / (1.0 - ab).sqrt())
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut acc = 0.0f64;
-        for _ in 0..10 {
-            let x0 = ddim_sample(&oracle, &[4], &schedule, 8, 0.0, &mut rng);
-            acc += x0.mean();
-        }
-        let mean = acc / 10.0;
-        assert!(
-            (mean - target as f64).abs() < 0.05,
-            "8-step deterministic DDIM should land on {target}, got {mean}"
-        );
     }
 
     #[test]

@@ -1,27 +1,11 @@
-//! Forward noising and reverse sampling (paper Section III-A, Algorithms 1–2).
+//! Forward noising and the single reverse step (paper Section III-A,
+//! Algorithms 1–2). The reverse loop itself is driven through
+//! [`crate::process::Ddpm`].
 
 use crate::schedule::DiffusionSchedule;
 use st_rand::StdRng;
 use st_rand::{Distribution, Normal};
 use st_tensor::NdArray;
-
-/// Anything that can predict the noise `ε` added to a noisy imputation target.
-///
-/// The conditioning information (interpolated observations `𝒳`, adjacency
-/// `A`, auxiliary encodings) is captured by the implementor, so the sampling
-/// loop only ever sees the noisy target and the step index.
-pub trait NoisePredictor {
-    /// Predict `ε̂ = ε_θ(X̃ᵗ, 𝒳, A, t)` for a noisy target `X̃ᵗ`.
-    ///
-    /// `noisy` and the returned array share the same shape.
-    fn predict(&self, noisy: &NdArray, t: usize) -> NdArray;
-}
-
-impl<F: Fn(&NdArray, usize) -> NdArray> NoisePredictor for F {
-    fn predict(&self, noisy: &NdArray, t: usize) -> NdArray {
-        self(noisy, t)
-    }
-}
 
 /// Forward process: draw `X̃ᵗ = √ᾱ_t X̃⁰ + √(1−ᾱ_t) ε` for a given `ε`.
 pub fn q_sample(x0: &NdArray, eps: &NdArray, schedule: &DiffusionSchedule, t: usize) -> NdArray {
@@ -97,24 +81,6 @@ pub fn p_sample_step(
     out
 }
 
-/// Full reverse process (Algorithm 2): start from `X̃ᵀ ~ N(0, I)` and denoise
-/// down to `X̃⁰` using the trained predictor.
-pub fn reverse_sample<P: NoisePredictor + ?Sized>(
-    predictor: &P,
-    shape: &[usize],
-    schedule: &DiffusionSchedule,
-    rng: &mut StdRng,
-) -> NdArray {
-    let _span = st_obs::span!("reverse_sample", t_steps = schedule.t_steps() as u64);
-    let mut x = NdArray::randn(shape, rng);
-    for t in (1..=schedule.t_steps()).rev() {
-        let _step_span = st_obs::span!("denoise_step", t = t as u64);
-        let eps_hat = predictor.predict(&x, t);
-        x = p_sample_step(&x, &eps_hat, schedule, t, rng);
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,33 +113,6 @@ mod tests {
         }
     }
 
-    /// With an oracle predictor that knows the true x0, the reverse process
-    /// must converge to (approximately) x0 — this exercises the exact
-    /// constants in `p_sample_step`.
-    #[test]
-    fn reverse_with_oracle_recovers_target() {
-        let schedule = DiffusionSchedule::pristi_default(50);
-        let target = 1.7f32;
-        let sched2 = schedule.clone();
-        let oracle = move |x_t: &NdArray, t: usize| -> NdArray {
-            // eps = (x_t - sqrt(ab) x0) / sqrt(1-ab)
-            let ab = sched2.alpha_bar(t) as f32;
-            x_t.map(|x| (x - ab.sqrt() * target) / (1.0 - ab).sqrt())
-        };
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut acc = 0.0f64;
-        let n_trials = 20;
-        for _ in 0..n_trials {
-            let x0 = reverse_sample(&oracle, &[8], &schedule, &mut rng);
-            acc += x0.mean();
-        }
-        let mean = acc / n_trials as f64;
-        assert!(
-            (mean - target as f64).abs() < 0.15,
-            "oracle reverse process should land near {target}, got {mean}"
-        );
-    }
-
     #[test]
     fn last_step_deterministic() {
         let s = DiffusionSchedule::pristi_default(10);
@@ -184,14 +123,5 @@ mod tests {
         let a = p_sample_step(&x, &e, &s, 1, &mut r1);
         let b = p_sample_step(&x, &e, &s, 1, &mut r2);
         assert_eq!(a, b, "t=1 must not inject noise");
-    }
-
-    #[test]
-    fn closure_implements_trait() {
-        let s = DiffusionSchedule::pristi_default(5);
-        let zero = |x: &NdArray, _t: usize| NdArray::zeros(x.shape());
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = reverse_sample(&zero, &[2, 2], &s, &mut rng);
-        assert_eq!(out.shape(), &[2, 2]);
     }
 }

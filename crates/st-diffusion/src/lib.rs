@@ -3,9 +3,10 @@
 //! Denoising-diffusion machinery (Ho et al. 2020) as used by PriSTI and CSDI
 //! for conditional spatiotemporal imputation: noise schedules (including the
 //! paper's quadratic schedule, Eq. 13), the forward noising process
-//! `q(X̃ᵗ | X̃⁰)`, and the reverse sampling loop of Algorithm 2, generic over
-//! a [`NoisePredictor`] so the same loop drives PriSTI, CSDI and ablated
-//! variants.
+//! `q(X̃ᵗ | X̃⁰)`, and the reverse updates of Algorithm 2 and its
+//! accelerated variants behind the [`GenerativeProcess`] solver trait. The
+//! caller owns the network evaluation and every random draw, so the same
+//! solvers drive PriSTI, CSDI and ablated variants.
 //!
 //! ```
 //! use st_diffusion::{q_sample, DiffusionSchedule};
@@ -36,10 +37,9 @@ pub mod ddpm;
 pub mod process;
 pub mod schedule;
 
-pub use ddim::{ddim_mean, ddim_noise_scale, ddim_sample, ddim_step, ddim_timesteps};
+pub use ddim::{ddim_mean, ddim_noise_scale, ddim_step, ddim_timesteps};
 pub use ddpm::{
     add_reverse_noise_slice, p_sample_mean, p_sample_noise_scale, p_sample_step, q_sample,
-    reverse_sample, NoisePredictor,
 };
 pub use process::{ChainInit, Ddim as DdimSolver, Ddpm as DdpmSolver, GenerativeProcess, Pndm, Refine, SolverStep};
 pub use schedule::{BetaSchedule, DiffusionSchedule};

@@ -36,6 +36,6 @@ pub use service::{
     request_rng, AdmissionTier, FaultHook, ImputeRequest, ImputeService, ServeConfig,
 };
 pub use stream::{
-    run_stream, stream_rng, StreamConfig, StreamServerConfig, StreamSession, StreamSummary, Tick,
+    parse_cell, run_stream, stream_rng, StreamConfig, StreamServerConfig, StreamSession, StreamSummary, Tick,
     TickOutput,
 };

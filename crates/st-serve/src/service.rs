@@ -5,8 +5,9 @@
 //! queue; a **replica pool** of `workers` threads shares the model through an
 //! `Arc` — each worker pops runs of queued requests that share a sampler and
 //! coalesces them into one [`pristi_core::impute_batch`] call (one
-//! `predict_eps_eval` — and one [`pristi_core::PriorCache`] build — per
-//! coalesced batch instead of one per request).
+//! [`pristi_core::PriorCache`] build per coalesced batch, then one
+//! `predict_eps_eval_cached` per denoise step for the whole batch, instead of
+//! one of each per request).
 //!
 //! **Neither batching nor the worker count changes results.** Every request's
 //! randomness comes from a private RNG stream keyed by its

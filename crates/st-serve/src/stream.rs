@@ -14,10 +14,10 @@
 //!   re-interpolation — DESIGN.md §16 gives the argument);
 //! * the normalised window `values_z` shifts in place, normalising only the
 //!   appended column (per-node affine scaling is cell-local);
-//! * the step-invariant [`PriorCache`] — cond4, `U`, `H^pri` and the
-//!   per-layer attention weights of DESIGN.md §11 — is rebuilt only when
-//!   window *content* changed since the last impute (every data tick
-//!   dirties it; a [`Tick::Reimpute`] on an unchanged window reuses it).
+//! * the step-invariant [`PriorCache`] — cond4, `U` and the per-layer
+//!   attention weights and adaptive adjacency of DESIGN.md §11 — is rebuilt
+//!   only when window *content* changed since the last impute (every data
+//!   tick dirties it; a [`Tick::Reimpute`] on an unchanged window reuses it).
 //!
 //! Every output a session emits is **bitwise identical to a cold
 //! full-window impute** of the same window with the same RNG stream
@@ -50,7 +50,8 @@
 //!             "detail":"tick needs N cells","line":3}}
 //! ```
 //!
-//! `tick` carries one cell per sensor (`null` = missing). `session`
+//! `tick` carries one cell per sensor (`null` = missing; a number must stay
+//! finite as `f32`, see [`parse_cell`]). `session`
 //! (default 0) multiplexes independent feeds over one connection; sessions
 //! are sharded across `workers` threads by `session % workers`, and a
 //! sequence-numbered reorder buffer keeps responses in input order, so
@@ -572,17 +573,33 @@ fn parse_tick(line: &str) -> std::result::Result<(u64, u64, Tick), ParseFailure>
             let cells = cells
                 .as_arr()
                 .ok_or_else(|| fail("\"tick\" must be an array of cells".into()))?;
-            let mut out = Vec::with_capacity(cells.len());
-            for (i, cell) in cells.iter().enumerate() {
-                match cell {
-                    Json::Null => out.push(None),
-                    other => match other.as_f64() {
-                        Some(v) => out.push(Some(v as f32)),
-                        None => return Err(fail(format!("cell [{i}] must be a number or null"))),
-                    },
-                }
-            }
+            let out = cells
+                .iter()
+                .enumerate()
+                .map(|(i, cell)| parse_cell(cell).map_err(|e| fail(format!("cell [{i}] {e}"))))
+                .collect::<std::result::Result<Vec<_>, _>>()?;
             Ok((id, session, Tick::Data(out)))
+        }
+    }
+}
+
+/// Parse one wire cell of the `null | number` grammar both wire modes share
+/// (`pristi serve` request rows and `serve --stream` ticks): `null` is a
+/// missing value, a number is an observation.
+///
+/// A number that is not finite once narrowed to `f32` (`1e39`, `-1e39`) is
+/// refused rather than stored as ±inf; callers answer the returned detail
+/// with a `bad_request` error line.
+pub fn parse_cell(cell: &Json) -> std::result::Result<Option<f32>, &'static str> {
+    match cell {
+        Json::Null => Ok(None),
+        other => {
+            let v = other.as_f64().ok_or("must be a number or null")? as f32;
+            if v.is_finite() {
+                Ok(Some(v))
+            } else {
+                Err("is outside the finite f32 range")
+            }
         }
     }
 }
@@ -630,4 +647,41 @@ pub fn error_line(id: Option<u64>, kind: &str, detail: &str, line_no: u64) -> St
         json::escape(kind),
         json::escape(detail)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(text: &str) -> std::result::Result<Option<f32>, &'static str> {
+        parse_cell(&json::parse(text).unwrap())
+    }
+
+    #[test]
+    fn cells_overflowing_f32_are_rejected_in_both_signs() {
+        for text in ["1e39", "-1e39", "1e400"] {
+            assert_eq!(cell(text), Err("is outside the finite f32 range"), "{text}");
+        }
+        assert_eq!(cell("\"x\""), Err("must be a number or null"));
+    }
+
+    #[test]
+    fn ordinary_cells_and_null_are_unchanged() {
+        assert_eq!(cell("null"), Ok(None));
+        for (text, v) in [("0", 0.0f32), ("-2.5", -2.5), ("17.25", 17.25), ("3e38", 3e38)] {
+            assert_eq!(cell(text), Ok(Some(v)), "{text}");
+        }
+    }
+
+    #[test]
+    fn overflowing_tick_is_a_bad_request() {
+        for sign in ["", "-"] {
+            let line = format!("{{\"id\":4,\"tick\":[1.0,null,{sign}1e39]}}");
+            let (id, kind, detail) = parse_tick(&line).unwrap_err();
+            assert_eq!((id, kind), (Some(4), "bad_request"));
+            assert!(detail.starts_with("cell [2] "), "{detail}");
+        }
+        let (_, _, tick) = parse_tick("{\"id\":5,\"tick\":[1.5,null]}").unwrap();
+        assert!(matches!(tick, Tick::Data(cells) if cells == [Some(1.5), None]));
+    }
 }

@@ -20,6 +20,14 @@ fi
 echo "== cargo build --release (offline) =="
 cargo build --release --offline
 
+# The benchmark tracer is a separate package that path-depends on the
+# library crates' public API; building it here catches an API break that
+# would otherwise only surface in the benchmark's traced run. --locked
+# keeps its committed lockfile read-only; the build output stays in /target.
+echo "== perfbench tracer builds against the current API =="
+cargo build --release --offline --locked --manifest-path perfbench/tracer/Cargo.toml \
+    --target-dir target/perfbench-tracer
+
 echo "== cargo test -q (offline) =="
 cargo test -q --offline
 
@@ -158,6 +166,27 @@ grep -q '"imputed":false' "$SMOKE_DIR/stream_a.jsonl" \
 grep -q '"watermark":' "$SMOKE_DIR/stream_a.jsonl" \
     || { echo "error: stream responses missing the settled watermark" >&2; exit 1; }
 echo "stream smoke: 13 ticks, replay + --workers 4 byte-identical"
+
+echo "== wire finite-value gate: an f32-overflowing cell is a bad_request =="
+# 1e39 overflows f32; each mode must answer the line with exactly one typed
+# bad_request error instead of accepting the cell as an observation.
+BIG_ROW='[1.0,2.0,null,4.0,5.0,null,7.0,8.0,9.0,null,11.0,1e39]'
+BIG_ROWS="$BIG_ROW"
+for _ in $(seq 2 "$N_CELLS"); do BIG_ROWS="$BIG_ROWS,$ROW"; done
+echo "{\"id\":1,\"values\":[$BIG_ROWS],\"n_samples\":2,\"ddim_steps\":4}" \
+    | "$PRISTI" serve --ckpt "$SMOKE_DIR/model.ckpt" > "$SMOKE_DIR/big_serve.jsonl" 2>/dev/null
+BIG_CELLS="-1e39"
+for i in $(seq 2 "$N_CELLS"); do BIG_CELLS="$BIG_CELLS,$i.5"; done
+echo "{\"id\":1,\"tick\":[$BIG_CELLS]}" \
+    | "$PRISTI" serve --stream --ckpt "$SMOKE_DIR/model.ckpt" --samples 2 \
+    > "$SMOKE_DIR/big_stream.jsonl" 2>/dev/null
+for f in big_serve big_stream; do
+    [ "$(wc -l < "$SMOKE_DIR/$f.jsonl")" -eq 1 ] \
+        || { echo "error: $f expected exactly one response line" >&2; exit 1; }
+    grep -q '"ok":false,"error":{"kind":"bad_request"' "$SMOKE_DIR/$f.jsonl" \
+        || { echo "error: $f did not answer the 1e39 cell with bad_request" >&2; exit 1; }
+done
+echo "wire gate: 1e39 cells rejected with bad_request in both modes"
 
 echo "== loadtest: schema, entries, and seeded determinism =="
 "$PRISTI" loadtest --quick --stream --seed 7 --out "$SMOKE_DIR/serve_a.json" 2>/dev/null

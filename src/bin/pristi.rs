@@ -77,7 +77,7 @@ use st_data::SpatioTemporalDataset;
 use st_obs::json::{self, Json};
 use st_serve::stream::error_line;
 use st_serve::{
-    load_checkpoint, run_stream, save_checkpoint, AdmissionTier, ImputeRequest, ImputeService,
+    load_checkpoint, parse_cell, run_stream, save_checkpoint, AdmissionTier, ImputeRequest, ImputeService,
     ServeConfig, StreamConfig, StreamServerConfig,
 };
 use st_tensor::NdArray;
@@ -859,15 +859,9 @@ fn parse_request_inner(
             ));
         }
         for (li, cell) in cells.iter().enumerate() {
-            match cell {
-                Json::Null => {}
-                other => {
-                    let v = other.as_f64().ok_or_else(|| {
-                        format!("cell [{i}][{li}] must be a number or null")
-                    })?;
-                    values.data_mut()[i * l + li] = v as f32;
-                    observed.data_mut()[i * l + li] = 1.0;
-                }
+            if let Some(v) = parse_cell(cell).map_err(|e| format!("cell [{i}][{li}] {e}"))? {
+                values.data_mut()[i * l + li] = v;
+                observed.data_mut()[i * l + li] = 1.0;
             }
         }
     }
