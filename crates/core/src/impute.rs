@@ -9,17 +9,23 @@
 //!
 //! # The batched engine and RNG streams
 //!
-//! [`impute`] is a thin wrapper over [`impute_batch`], which coalesces any
-//! number of *requests* — each a window with its own sample count and its own
-//! RNG stream — into one `[S_total, N, L]` reverse pass: one [`PriorCache`]
-//! build per batch, then a single `predict_eps_eval_cached` per denoise step
+//! Three entry points share one reverse path. [`impute`] is a thin wrapper
+//! over [`impute_batch`], which coalesces any number of *requests* — each a
+//! window with its own sample count and its own RNG stream — into one
+//! `[S_total, N, L]` reverse pass; [`impute_prepared`] feeds the same pass a
+//! caller-prepared window and, optionally, a caller-held [`PriorCache`].
+//! Requests are validated in one place before any window is prepared or any
+//! random number drawn. The pass builds one [`PriorCache`] per batch (PriSTI's
+//! conditional prior depends only on the interpolated conditional, so caching
+//! it is exact), then runs a single `predict_eps_eval_cached` per denoise step
 //! for the whole batch. Every random draw (initial noise, per-step reverse
 //! noise) comes from the owning request's stream, sliced per request, and
 //! every deterministic update is element-wise,
 //! so a request's samples are **bitwise identical** no matter which other
 //! requests share its batch. This is the property the `st-serve` micro-batching
 //! service builds on; `crates/st-serve/tests/service.rs` pins it under
-//! concurrent load.
+//! concurrent load, and `crates/core/tests/prior_cache.rs` pins the cached
+//! pass against an uncached per-step reference chain.
 //!
 //! # Solvers
 //!
@@ -41,25 +47,6 @@ use st_metrics::quantile_of_sorted;
 use st_rand::StdRng;
 use st_tensor::ndarray::NdArray;
 use std::sync::OnceLock;
-
-/// Whether the reverse loop reuses the step-invariant prior tensors.
-///
-/// PriSTI's conditional prior `H^pri` — and everything derived from it,
-/// including every prior-weighted attention matrix — is constant across the
-/// whole reverse chain, so [`PriorMode::Cached`] computes it once per batch
-/// ([`crate::model::PristiModel::build_prior_cache`]) and runs only the
-/// step-dependent noise path per denoise step. Both modes are bitwise
-/// identical (pinned in `tests/prior_cache.rs`); `Recompute` is retained as
-/// the reference implementation and for A/B benchmarking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PriorMode {
-    /// Build a [`crate::model::PriorCache`] once per batch (the default).
-    #[default]
-    Cached,
-    /// Rebuild the full graph — prior included — at every denoise step (the
-    /// pre-cache behaviour).
-    Recompute,
-}
 
 /// Options for [`impute`]: ensemble size and sampler choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,26 +163,26 @@ impl PreparedWindow {
         Ok(Self { values_z, cond_mask, target_mask, cond })
     }
 
-    /// The conditional `𝒳` this window feeds the denoiser (interpolated when
-    /// the model uses interpolation, masked values otherwise).
-    pub fn cond(&self) -> &NdArray {
-        &self.cond
-    }
-
-    /// Mask of positions that will be imputed (1) rather than conditioned on.
-    pub fn target_mask(&self) -> &NdArray {
-        &self.target_mask
-    }
-
     /// Build the step-invariant prior cache for `n_samples` ensemble members
     /// of this window — the reusable half of the denoiser. Streaming callers
     /// keep the returned cache across ticks while the window content is
     /// unchanged and pass it to [`impute_prepared`].
     pub fn build_prior(&self, trained: &TrainedModel, n_samples: usize) -> PriorCache {
-        let (n, l) = (trained.model.n_nodes(), trained.model.window_len());
-        let cond_r = NdArray::from_vec(&[1, n, l], self.cond.data().to_vec());
-        trained.model.build_prior_cache(&cond_r, &[n_samples])
+        batch_prior(trained, std::slice::from_ref(self), &[n_samples])
     }
+}
+
+/// The prior cache for a batch: stack each request's conditional once
+/// (`[R, N, L]`, deduplicated — not per sample) and let
+/// [`crate::model::PristiModel::build_prior_cache`] replicate it to
+/// `Σ counts` rows.
+fn batch_prior(trained: &TrainedModel, preps: &[PreparedWindow], counts: &[usize]) -> PriorCache {
+    let (n, l) = (trained.model.n_nodes(), trained.model.window_len());
+    let mut cond_r = NdArray::zeros(&[preps.len(), n, l]);
+    for (i, prep) in preps.iter().enumerate() {
+        cond_r.data_mut()[i * n * l..(i + 1) * n * l].copy_from_slice(prep.cond.data());
+    }
+    trained.model.build_prior_cache(&cond_r, counts)
 }
 
 /// One request of a batched reverse pass: a window, how many ensemble samples
@@ -226,8 +213,8 @@ pub struct ImputationResult {
 
 impl ImputationResult {
     /// Bundle an ensemble. The samples must be non-empty and same-shaped
-    /// (internal invariant: [`impute_batch`] validates request sample counts
-    /// before sampling).
+    /// (internal invariant: every impute entry point rejects a zero sample
+    /// count before preparing or sampling anything).
     pub fn new(samples: Vec<NdArray>, target_mask: NdArray) -> Self {
         assert!(!samples.is_empty(), "ensemble cannot be empty");
         Self { samples, target_mask, sorted: OnceLock::new() }
@@ -375,54 +362,29 @@ pub fn impute(
 ///
 /// All requests share the `sampler`; per-request sample counts may differ.
 /// Results come back in request order and are bitwise identical to solo
-/// [`impute`] calls made with the same per-request RNG states.
+/// [`impute`] calls made with the same per-request RNG states. An empty batch
+/// returns no results; a degenerate request fails the whole batch before any
+/// window is prepared or any stream advances.
 pub fn impute_batch(
     trained: &TrainedModel,
     items: &mut [BatchItem<'_>],
     sampler: Sampler,
 ) -> Result<Vec<ImputationResult>> {
-    impute_batch_with(trained, items, sampler, PriorMode::Cached)
-}
-
-/// [`impute_batch`] with an explicit [`PriorMode`].
-///
-/// `PriorMode::Cached` (what [`impute_batch`] uses) builds the step-invariant
-/// prior tensors once per batch; `PriorMode::Recompute` rebuilds them every
-/// denoise step. The results are bitwise identical — the knob exists for
-/// benchmarking and as an escape hatch when the cache's memory footprint
-/// (`PriorCache::bytes`) matters more than latency.
-pub fn impute_batch_with(
-    trained: &TrainedModel,
-    items: &mut [BatchItem<'_>],
-    sampler: Sampler,
-    prior_mode: PriorMode,
-) -> Result<Vec<ImputationResult>> {
     if items.is_empty() {
         return Ok(Vec::new());
     }
-    for item in items.iter() {
-        if item.n_samples < 1 {
-            return Err(PristiError::DegenerateConfig(
-                "need at least one sample per request".into(),
-            ));
-        }
-    }
+    let counts: Vec<usize> = items.iter().map(|i| i.n_samples).collect();
+    validate_request(&counts, sampler, None)?;
     // Per-request conditioning (normalised values, masks, interpolated 𝒳).
     // Window shape validation lives in `PreparedWindow::prepare`.
-    sampler.validate()?;
     let prep_span = st_obs::span!("cond_prep");
     let preps = items
         .iter()
         .map(|item| PreparedWindow::prepare(trained, item.window))
         .collect::<Result<Vec<_>>>()?;
     drop(prep_span);
-    let counts: Vec<usize> = items.iter().map(|i| i.n_samples).collect();
     let mut rngs: Vec<&mut StdRng> = items.iter_mut().map(|i| &mut i.rng).collect();
-    let prior = match prior_mode {
-        PriorMode::Cached => PriorSource::Build,
-        PriorMode::Recompute => PriorSource::Recompute,
-    };
-    run_reverse(trained, &preps, &counts, &mut rngs, sampler, prior)
+    Ok(run_reverse(trained, &preps, &counts, &mut rngs, sampler, None))
 }
 
 /// Impute one *warm-started* window — the streaming entry point.
@@ -447,53 +409,48 @@ pub fn impute_prepared(
     rng: &mut StdRng,
     prior: Option<&PriorCache>,
 ) -> Result<ImputationResult> {
-    if opts.n_samples < 1 {
-        return Err(PristiError::DegenerateConfig("need at least one sample per request".into()));
-    }
-    opts.sampler.validate()?;
-    let source = match prior {
-        Some(cache) => {
-            if cache.n_samples_total() != opts.n_samples {
-                return Err(PristiError::DegenerateConfig(format!(
-                    "prior cache was built for {} samples, request wants {}",
-                    cache.n_samples_total(),
-                    opts.n_samples
-                )));
-            }
-            PriorSource::Reuse(cache)
-        }
-        None => PriorSource::Build,
-    };
+    let counts = [opts.n_samples];
+    validate_request(&counts, opts.sampler, prior)?;
     let preps = std::slice::from_ref(prep);
-    let mut rngs = [rng];
-    let mut results =
-        run_reverse(trained, preps, &[opts.n_samples], &mut rngs, opts.sampler, source)?;
+    let mut results = run_reverse(trained, preps, &counts, &mut [rng], opts.sampler, prior);
     Ok(results.pop().expect("one prepared window in, one result out"))
 }
 
-/// Where the reverse pass gets its step-invariant prior tensors.
-enum PriorSource<'a> {
-    /// Build a fresh [`PriorCache`] for this batch (the default).
-    Build,
-    /// Rebuild the full graph — prior included — at every denoise step.
-    Recompute,
-    /// Reuse a caller-held cache built from these windows' conditionals.
-    Reuse(&'a PriorCache),
+/// The one request check every entry point runs before preparing a window
+/// or drawing a random number: at least one sample per request, a
+/// non-degenerate sampler spec, and a caller-held prior cache sized for the
+/// batch's total sample count.
+fn validate_request(counts: &[usize], sampler: Sampler, prior: Option<&PriorCache>) -> Result<()> {
+    if counts.contains(&0) {
+        return Err(PristiError::DegenerateConfig("need at least one sample per request".into()));
+    }
+    sampler.validate()?;
+    let s_total: usize = counts.iter().sum();
+    match prior {
+        Some(cache) if cache.n_samples_total() != s_total => {
+            Err(PristiError::DegenerateConfig(format!(
+                "prior cache was built for {} samples, request wants {s_total}",
+                cache.n_samples_total()
+            )))
+        }
+        _ => Ok(()),
+    }
 }
 
-/// The shared reverse-pass core behind [`impute_batch_with`] and
+/// The shared reverse-pass core behind [`impute_batch`] and
 /// [`impute_prepared`]: batch the prepared conditioners along the sample
-/// axis, resolve the prior source, walk the solver's schedule, merge and
-/// denormalise. `preps`, `counts` and `rngs` run parallel, one entry per
-/// request.
+/// axis, build the prior cache unless the caller holds one, walk the
+/// solver's schedule, merge and denormalise. `preps`, `counts` and `rngs`
+/// run parallel, one entry per request; [`validate_request`] has already
+/// accepted them.
 fn run_reverse(
     trained: &TrainedModel,
     preps: &[PreparedWindow],
     counts: &[usize],
     rngs: &mut [&mut StdRng],
     sampler: Sampler,
-    prior: PriorSource<'_>,
-) -> Result<Vec<ImputationResult>> {
+    prior: Option<&PriorCache>,
+) -> Vec<ImputationResult> {
     let (n, l) = (trained.model.n_nodes(), trained.model.window_len());
     let s_total: usize = counts.iter().sum();
     // The solver owns the schedule walk; `pairs.len()` is the NFE cost of
@@ -527,25 +484,18 @@ fn run_reverse(
     }
     drop(batch_span);
 
-    // Step-invariant prior tensors, computed once per batch on the
-    // deduplicated per-request conditional (R rows, not S_total) and
-    // replicated per sample inside `build_prior_cache` — or reused outright
-    // when a streaming caller kept the cache across ticks.
+    // Step-invariant prior tensors (PriSTI's `H^pri` and everything derived
+    // from it depend only on the conditional): built once per batch, or
+    // reused outright when a streaming caller kept the cache across ticks.
     let built;
-    let cache: Option<&PriorCache> = {
+    let cache = {
         let _cache_span = st_obs::span!("prior_cache");
         match prior {
-            PriorSource::Build => {
-                let mut cond_r = NdArray::zeros(&[preps.len(), n, l]);
-                for (i, prep) in preps.iter().enumerate() {
-                    cond_r.data_mut()[i * n * l..(i + 1) * n * l]
-                        .copy_from_slice(prep.cond.data());
-                }
-                built = trained.model.build_prior_cache(&cond_r, counts);
-                Some(&built)
+            Some(cache) => cache,
+            None => {
+                built = batch_prior(trained, preps, counts);
+                &built
             }
-            PriorSource::Recompute => None,
-            PriorSource::Reuse(cache) => Some(cache),
         }
     };
 
@@ -571,10 +521,7 @@ fn run_reverse(
     // added per request slice from that request's stream.
     for &(t, t_prev) in &pairs {
         let _step_span = st_obs::span!("denoise_step", t = t as u64, t_prev = t_prev as u64);
-        let eps_hat = match cache {
-            Some(c) => trained.model.predict_eps_eval_cached(c, &x, t),
-            None => trained.model.predict_eps_eval(&x, &cond_b, t),
-        };
+        let eps_hat = trained.model.predict_eps_eval_cached(cache, &x, t);
         let t0 = st_obs::op_start();
         let step = solver.step(&x, &eps_hat, &trained.schedule, t, t_prev);
         let mut next = step.mean;
@@ -600,7 +547,7 @@ fn run_reverse(
         out.push(ImputationResult::new(samples, prep.target_mask.clone()));
     }
     drop(merge_span);
-    Ok(out)
+    out
 }
 
 /// Add `scale · z` reverse-process noise to each request's slice of the
@@ -830,56 +777,6 @@ mod tests {
         }
     }
 
-    /// The prior-cached tentpole invariant: `PriorMode::Cached` (the
-    /// default) and `PriorMode::Recompute` (the reference implementation)
-    /// must produce bitwise identical ensembles — for both samplers, for a
-    /// solo request and for an uneven coalesced batch.
-    #[test]
-    fn cached_and_recompute_prior_bitwise_identical() {
-        let (data, trained) = trained_setup();
-        let windows = data.windows(Split::Test, 12, 12);
-        let w0 = &windows[0];
-        let w1 = &windows[windows.len() - 1];
-        for sampler in [
-            Sampler::Ddpm,
-            Sampler::Ddim { steps: 4, eta: 0.5 },
-            Sampler::Pndm { steps: 4, order: 4 },
-            Sampler::Refine { steps: 3, strength: 0.5 },
-        ] {
-            for n_requests in [1usize, 4] {
-                let make_items = || -> Vec<BatchItem<'_>> {
-                    (0..n_requests)
-                        .map(|i| BatchItem {
-                            window: if i % 2 == 0 { w0 } else { w1 },
-                            n_samples: 1 + i, // uneven ensembles
-                            rng: StdRng::seed_from_u64(200 + i as u64),
-                        })
-                        .collect()
-                };
-                let mut cached_items = make_items();
-                let mut plain_items = make_items();
-                let cached =
-                    impute_batch_with(&trained, &mut cached_items, sampler, PriorMode::Cached)
-                        .unwrap();
-                let plain =
-                    impute_batch_with(&trained, &mut plain_items, sampler, PriorMode::Recompute)
-                        .unwrap();
-                for (c, p) in cached.iter().zip(&plain) {
-                    for (a, b) in c.samples.iter().zip(&p.samples) {
-                        assert!(
-                            a.to_bytes() == b.to_bytes(),
-                            "cached prior diverges from recompute ({sampler:?}, {n_requests} requests)"
-                        );
-                    }
-                }
-                // The RNG streams must advance identically too.
-                for (c, p) in cached_items.iter().zip(&plain_items) {
-                    assert_eq!(c.rng.state(), p.rng.state());
-                }
-            }
-        }
-    }
-
     #[test]
     fn prior_cache_exposes_footprint() {
         let (data, trained) = trained_setup();
@@ -1011,6 +908,33 @@ mod tests {
             err,
             PristiError::ShapeMismatch { what: "window length", .. }
         ));
+        // zero samples on a wrong-length window: validation runs before
+        // preparation, so the sample count is what gets reported
+        let err = impute(&trained, &short, &ddpm_opts(0), &mut rng).unwrap_err();
+        assert!(matches!(err, PristiError::DegenerateConfig(_)));
     }
 
+    /// One degenerate request fails the whole batch before any stream
+    /// advances: validation precedes every random draw.
+    #[test]
+    fn degenerate_batch_item_fails_before_any_draw() {
+        let (data, trained) = trained_setup();
+        let w = &data.windows(Split::Test, 12, 12)[0];
+        let mut items = [
+            BatchItem { window: w, n_samples: 2, rng: StdRng::seed_from_u64(60) },
+            BatchItem { window: w, n_samples: 0, rng: StdRng::seed_from_u64(61) },
+        ];
+        let before: Vec<_> = items.iter().map(|i| i.rng.state()).collect();
+        let err = impute_batch(&trained, &mut items, Sampler::Ddpm).unwrap_err();
+        assert!(matches!(err, PristiError::DegenerateConfig(_)));
+        let after: Vec<_> = items.iter().map(|i| i.rng.state()).collect();
+        assert_eq!(before, after, "a rejected batch must not advance any stream");
+    }
+
+    #[test]
+    fn empty_batch_returns_no_results() {
+        let (_, trained) = trained_setup();
+        let results = impute_batch(&trained, &mut [], Sampler::Ddpm).unwrap();
+        assert!(results.is_empty());
+    }
 }

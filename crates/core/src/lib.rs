@@ -86,8 +86,8 @@ pub mod train;
 pub use config::{ModelVariant, PristiConfig};
 pub use error::{PristiError, Result};
 pub use impute::{
-    impute, impute_batch, impute_batch_with, impute_prepared, BatchItem, ImputationResult,
-    ImputeOptions, PreparedWindow, PriorMode,
+    impute, impute_batch, impute_prepared, BatchItem, ImputationResult, ImputeOptions,
+    PreparedWindow,
 };
 pub use model::{PriorCache, PristiModel};
 pub use sampler::Sampler;

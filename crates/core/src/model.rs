@@ -231,8 +231,10 @@ impl PristiModel {
         g.reshape(out, &[b, n, l])
     }
 
-    /// Evaluation-mode convenience: predict noise for concrete arrays
-    /// (used by the reverse sampling loop).
+    /// Evaluation-mode convenience: predict noise for concrete arrays,
+    /// rebuilding the conditional prior in the same graph. The uncached
+    /// reference evaluator; the reverse loop runs
+    /// [`Self::predict_eps_eval_cached`] instead.
     pub fn predict_eps_eval(&self, noisy: &NdArray, cond: &NdArray, t: usize) -> NdArray {
         let b = noisy.shape()[0];
         let mut g = Graph::new_eval(&self.store);
@@ -288,24 +290,21 @@ impl PristiModel {
         }
     }
 
-    /// Build the step-dependent half of the ε-prediction graph against a
-    /// [`PriorCache`], re-injecting its tensors as tape inputs. Runs the same
-    /// noise path as [`Self::predict_eps`], so it is bitwise identical to it
-    /// on the replicated conditional.
+    /// Predict noise for concrete arrays against a [`PriorCache`]: one fresh
+    /// eval graph holding only the step-dependent ops, with the cached
+    /// tensors re-injected as tape inputs. Runs the same noise path as
+    /// [`Self::predict_eps_eval`], so it is bitwise identical to it on the
+    /// replicated conditional.
     ///
     /// `noisy` must be `[S_total, N, L]` with `S_total` matching the cache.
-    pub fn predict_eps_cached(
-        &self,
-        g: &mut Graph<'_>,
-        cache: &PriorCache,
-        noisy: Tx,
-        t: usize,
-    ) -> Tx {
+    pub fn predict_eps_eval_cached(&self, cache: &PriorCache, noisy: &NdArray, t: usize) -> NdArray {
         let (n, l) = (self.n_nodes, self.len);
         let b = cache.s_total;
-        assert_eq!(g.shape(noisy), &[b, n, l], "noisy shape mismatch");
+        assert_eq!(noisy.shape(), &[b, n, l], "noisy shape mismatch");
 
-        let noisy4 = g.reshape(noisy, &[b, n, l, 1]);
+        let mut g = Graph::new_eval(&self.store);
+        let noisy_tx = g.input(noisy.clone());
+        let noisy4 = g.reshape(noisy_tx, &[b, n, l, 1]);
         let cond4 = g.input(cache.cond4.clone());
         let u = g.input(cache.u.clone());
         let mut input = |w: &Option<NdArray>| w.as_ref().map(|w| g.input(w.clone()));
@@ -318,16 +317,7 @@ impl PristiModel {
                 mpnn_adp: input(&p.mpnn_adp),
             })
             .collect();
-        self.noise_path(g, cond4, noisy4, u, &priors, &vec![t; b])
-    }
-
-    /// Evaluation-mode counterpart of [`Self::predict_eps_eval`] for the
-    /// prior-cached path: one fresh eval graph holding only the
-    /// step-dependent ops, with the cached tensors injected as inputs.
-    pub fn predict_eps_eval_cached(&self, cache: &PriorCache, noisy: &NdArray, t: usize) -> NdArray {
-        let mut g = Graph::new_eval(&self.store);
-        let noisy_tx = g.input(noisy.clone());
-        let out = self.predict_eps_cached(&mut g, cache, noisy_tx, t);
+        let out = self.noise_path(&mut g, cond4, noisy4, u, &priors, &vec![t; b]);
         g.value(out).clone()
     }
 }

@@ -546,8 +546,9 @@ fn serve_tick(
     }
 }
 
-/// Parse failure for one wire line: `(id-if-known, kind, detail)`.
-type ParseFailure = (Option<u64>, &'static str, String);
+/// Parse failure for one wire line: `(id-if-known, kind, detail)`, shared
+/// by both wire modes' line parsers.
+pub type ParseFailure = (Option<u64>, &'static str, String);
 
 /// Parse one wire line into `(id, session, tick)`.
 fn parse_tick(line: &str) -> std::result::Result<(u64, u64, Tick), ParseFailure> {

@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "== docs drift lint (scripts/check_docs.sh) =="
 ./scripts/check_docs.sh
 
+echo "== perfbench unit tests =="
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests
+
 echo "== cargo tree: dependency graph must be path-local =="
 if cargo tree --offline --workspace --prefix none | grep -vE '^\[|^$' | grep -qv '(/'; then
     echo "error: found a non-path dependency in the workspace tree" >&2
@@ -67,7 +70,6 @@ for entry in \
     p_sample_step_cached_8x36x24 \
     p_sample_step_uncached_8x36x24 \
     impute_cached_4req_x2samples \
-    impute_uncached_4req_x2samples \
     impute_ddim_4req_x2samples \
     impute_pndm_4req_x2samples \
     impute_refine_4req_x2samples \
@@ -186,6 +188,9 @@ for f in big_serve big_stream; do
     grep -q '"ok":false,"error":{"kind":"bad_request"' "$SMOKE_DIR/$f.jsonl" \
         || { echo "error: $f did not answer the 1e39 cell with bad_request" >&2; exit 1; }
 done
+# The request parsed its id before the bad cell, so the error echoes it.
+grep -q '^{"id":1,"ok":false' "$SMOKE_DIR/big_serve.jsonl" \
+    || { echo "error: big_serve error line does not echo the request id" >&2; exit 1; }
 echo "wire gate: 1e39 cells rejected with bad_request in both modes"
 
 echo "== loadtest: schema, entries, and seeded determinism =="
@@ -239,9 +244,9 @@ echo "sweep: quick gate passes, CSV rows present"
 
 echo "== per-solver impute micro-bench entries run standalone =="
 "$PRISTI" bench --filter impute_ > "$SMOKE_DIR/impute_bench.txt"
-[ "$(grep -c 'ns/iter' "$SMOKE_DIR/impute_bench.txt")" -eq 5 ] \
-    || { echo "error: bench --filter impute_ expected 5 entries" >&2; exit 1; }
-echo "bench filter: all 5 impute entries timed"
+[ "$(grep -c 'ns/iter' "$SMOKE_DIR/impute_bench.txt")" -eq 4 ] \
+    || { echo "error: bench --filter impute_ expected 4 entries" >&2; exit 1; }
+echo "bench filter: all 4 impute entries timed"
 
 echo "== pristi bench --compare: regression gate =="
 # Fresh quick run vs the committed baseline must pass (generous threshold:

@@ -75,7 +75,7 @@ use st_data::generators::{generate_air_quality, generate_traffic, AirQualityConf
 use st_data::io::{load_dataset, panel_to_csv};
 use st_data::SpatioTemporalDataset;
 use st_obs::json::{self, Json};
-use st_serve::stream::error_line;
+use st_serve::stream::{error_line, ParseFailure};
 use st_serve::{
     load_checkpoint, parse_cell, run_stream, save_checkpoint, AdmissionTier, ImputeRequest, ImputeService,
     ServeConfig, StreamConfig, StreamServerConfig,
@@ -744,7 +744,7 @@ fn run_serve(flags: HashMap<String, String>) -> ExitCode {
                     Err(e) => error_line(Some(id), e.kind(), &e.to_string(), line_no),
                 }
             }
-            Err((kind, detail)) => error_line(None, kind, &detail, line_no),
+            Err((id, kind, detail)) => error_line(id, kind, &detail, line_no),
         };
         // Piped stdout is block-buffered; a serving loop must flush per line
         // or clients waiting on a response deadlock.
@@ -817,27 +817,28 @@ fn run_serve_stream(flags: HashMap<String, String>) -> ExitCode {
 /// The sampler comes from the `"sampler"` spec string (shared grammar, e.g.
 /// `"pndm:6"`), with the pre-spec `"ddim_steps"` integer field kept as an
 /// alias for `ddim:K`; with neither the serve-level default applies.
+///
+/// A failure carries the request id whenever it parsed, in the same
+/// `(id, kind, detail)` shape as the stream mode's tick parser.
 fn parse_request(
     line: &str,
     default_samples: usize,
     default_sampler: Sampler,
-) -> Result<ImputeRequest, (&'static str, String)> {
-    parse_request_inner(line, default_samples, default_sampler).map_err(|detail| {
-        let kind = if detail.starts_with("bad JSON") { "bad_json" } else { "bad_request" };
-        (kind, detail)
-    })
+) -> Result<ImputeRequest, ParseFailure> {
+    let req = json::parse(line).map_err(|e| (None, "bad_json", format!("bad JSON: {e}")))?;
+    let id = req.get("id").and_then(Json::as_u64).ok_or_else(|| {
+        (None, "bad_request", "request needs a numeric \"id\"".to_string())
+    })?;
+    parse_request_body(&req, id, default_samples, default_sampler)
+        .map_err(|detail| (Some(id), "bad_request", detail))
 }
 
-fn parse_request_inner(
-    line: &str,
+fn parse_request_body(
+    req: &Json,
+    id: u64,
     default_samples: usize,
     default_sampler: Sampler,
 ) -> Result<ImputeRequest, String> {
-    let req = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let id = req
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("request needs a numeric \"id\"")?;
     let rows = req
         .get("values")
         .and_then(Json::as_arr)
@@ -949,4 +950,29 @@ fn panel_sensor_names(path: &str, n: usize) -> Vec<String> {
             (names.len() == n).then_some(names)
         })
         .unwrap_or_else(|| (0..n).map(|i| format!("s{i}")).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn failure(line: &str) -> ParseFailure {
+        match parse_request(line, 8, Sampler::Ddpm) {
+            Ok(_) => panic!("line must fail to parse: {line}"),
+            Err(failure) => failure,
+        }
+    }
+
+    #[test]
+    fn parse_failures_echo_the_id_when_it_parsed() {
+        let (id, kind, _) = failure("{\"id\":9,\"values\":[[1.0,");
+        assert_eq!((id, kind), (None, "bad_json"));
+        let (id, kind, _) = failure("{\"values\":[[1.0,2.0]]}");
+        assert_eq!((id, kind), (None, "bad_request"));
+        let (id, kind, detail) = failure("{\"id\":9,\"values\":[[1e39,2.0]]}");
+        assert_eq!((id, kind), (Some(9), "bad_request"));
+        assert!(detail.contains("cell [0][0]"), "{detail}");
+        let ok = parse_request("{\"id\":9,\"values\":[[1.0,null]]}", 8, Sampler::Ddpm).unwrap();
+        assert_eq!(ok.id, 9);
+    }
 }
