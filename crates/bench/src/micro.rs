@@ -320,11 +320,13 @@ fn bench_quantile_cache(h: &mut MicroHarness) {
     });
 }
 
-/// Micro-batched serving vs one-at-a-time serving (the st-serve tentpole):
-/// the same four 2-sample requests run as one coalesced `impute_batch` call
-/// (one `predict_eps_eval_cached` per denoise step for all of them) and as four
+/// The library batch engine vs one-at-a-time imputation: the same four
+/// 2-sample requests run as one `impute_batch` call (one
+/// `predict_eps_eval_cached` per denoise step for all of them) and as four
 /// serial `impute` calls. Same RNG streams, bitwise-identical outputs — the
-/// delta is pure batching throughput.
+/// delta is pure batching throughput of `pristi_core::impute_batch`. (The
+/// names keep their `serve_` prefix for baseline continuity; `ImputeService`
+/// itself serves one request per worker turn and does not batch.)
 fn bench_serve_batching(h: &mut MicroHarness) {
     use pristi_core::train::{train, TrainConfig};
     use pristi_core::{impute, impute_batch, BatchItem, ImputeOptions, Sampler};

@@ -1,22 +1,20 @@
-//! A micro-batching, multi-worker imputation service around one loaded
-//! [`TrainedModel`].
+//! A multi-worker imputation service around one loaded [`TrainedModel`].
 //!
-//! Architecture: callers [`ImputeService::submit`] requests into a bounded
-//! queue; a **replica pool** of `workers` threads shares the model through an
-//! `Arc` — each worker pops runs of queued requests that share a sampler and
-//! coalesces them into one [`pristi_core::impute_batch`] call (one
-//! [`pristi_core::PriorCache`] build per coalesced batch, then one
-//! `predict_eps_eval_cached` per denoise step for the whole batch, instead of
-//! one of each per request).
+//! Architecture: callers [`ImputeService::enqueue`] requests into a bounded
+//! queue (or [`ImputeService::submit`] and block on the answer); a **replica
+//! pool** of `workers` threads shares the model through an `Arc`, and each
+//! worker pops one request per turn and runs [`pristi_core::impute`] on it
+//! (one [`pristi_core::PriorCache`] build, then one
+//! `predict_eps_eval_cached` per denoise step). Concurrency comes from the
+//! pool, not from merging requests: two workers run two requests at once,
+//! each with the working set of one request.
 //!
-//! **Neither batching nor the worker count changes results.** Every request's
-//! randomness comes from a private RNG stream keyed by its
-//! [`ImputeRequest::id`] (and the service's `base_seed`), and the batched
-//! engine guarantees per-request slices are bitwise identical to solo calls.
-//! A request is answered with the same bytes whether it rode alone, shared a
-//! batch, hit a different queue ordering, or was served by worker 0 of 1 or
-//! worker 7 of 8 — `tests/service.rs` and `tests/workers.rs` pin this under
-//! concurrent load.
+//! **Neither the worker count nor the queue order changes results.** Every
+//! request's randomness comes from a private RNG stream keyed by its
+//! [`ImputeRequest::id`] (and the service's `base_seed`), so a request is
+//! answered with the same bytes whether it was served by worker 0 of 1 or
+//! worker 7 of 8, first or last — `tests/service.rs` and `tests/workers.rs`
+//! pin this under concurrent load.
 //!
 //! Admission control stacks two tiers on the bounded queue:
 //!
@@ -29,23 +27,29 @@
 //!
 //! Requests carry deadlines (defaulted per tier): a request still queued past
 //! its deadline is answered with [`PristiError::Timeout`] instead of
-//! occupying batch space. A worker that panics mid-batch (a model bug, or the
-//! test-only [`ServeConfig::fault_hook`]) is **contained**: the batch and
+//! occupying a worker. A worker that panics mid-request (a model bug, or the
+//! test-only [`ServeConfig::fault_hook`]) is **contained**: that request and
 //! everything still queued get typed [`PristiError::WorkerPanicked`] errors,
 //! the service drains, and [`ImputeService::shutdown`] still joins.
 //!
+//! Tracing: each request gets a trace id at admission, and the worker runs
+//! it inside a `serve_batch` span (fields `request`, `samples`, `worker`)
+//! under that id, so the `impute/denoise_step` subtree below it is
+//! attributable to the request.
+//!
 //! Telemetry (`serve.*`, via `st-obs`): `serve.queue_depth` gauge,
-//! `serve.batch_requests` / `serve.batch_samples` occupancy histograms, a
+//! `serve.batch_requests` histogram (requests per worker turn, always 1), a
 //! `serve.latency_ms` histogram (p50/p99/p999 come out of the st-obs
 //! histogram summary at flush), `serve.shed` / `serve.timeout` counters, and
-//! per-worker `serve.worker{i}.batches` counters plus
+//! per-worker `serve.worker{i}.batches` counters (turns served) plus
 //! `serve.worker{i}.latency_ms` histograms. All `serve.*` values are
 //! scheduling-dependent, so [`st_obs::strip_timing`] drops them like the
 //! `pool.*` activity metrics.
 
+use crate::wire::panic_detail;
 use pristi_core::error::{PristiError, Result};
 use pristi_core::train::TrainedModel;
-use pristi_core::{impute_batch, BatchItem, ImputationResult, Sampler};
+use pristi_core::{impute, ImputationResult, ImputeOptions, Sampler};
 use st_data::dataset::Window;
 use st_rand::{SeedableRng, StdRng};
 use std::collections::VecDeque;
@@ -72,10 +76,10 @@ pub enum AdmissionTier {
     BestEffort,
 }
 
-/// Test-only hook a worker runs just before imputing a coalesced batch,
-/// receiving the batch's request ids. The fault-injection suite uses it to
-/// simulate a panicking denoise step; `None` (the default) costs nothing.
-pub type FaultHook = Arc<dyn Fn(&[u64]) + Send + Sync>;
+/// Test-only hook a worker runs just before imputing a request, receiving
+/// its id. The fault-injection suite uses it to simulate a panicking denoise
+/// step; `None` (the default) costs nothing.
+pub type FaultHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// Service tuning knobs.
 #[derive(Clone)]
@@ -88,12 +92,10 @@ pub struct ServeConfig {
     /// `queue_capacity`, i.e. shedding disabled — the hard-capacity check
     /// always fires first.
     pub shed_threshold: usize,
-    /// Worker threads in the replica pool. Every worker serves batches from
+    /// Worker threads in the replica pool. Every worker serves requests from
     /// the shared queue against the same `Arc`-shared model; results are
     /// bitwise independent of this number.
     pub workers: usize,
-    /// Cap on the coalesced ensemble axis `S_total` of one micro-batch.
-    pub max_batch_samples: usize,
     /// Deadline for [`AdmissionTier::Interactive`] requests that do not set
     /// their own.
     pub default_deadline: Duration,
@@ -114,7 +116,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             shed_threshold: 64,
             workers: 1,
-            max_batch_samples: 32,
             default_deadline: Duration::from_secs(30),
             best_effort_deadline: Duration::from_secs(120),
             base_seed: 0,
@@ -129,7 +130,6 @@ impl fmt::Debug for ServeConfig {
             .field("queue_capacity", &self.queue_capacity)
             .field("shed_threshold", &self.shed_threshold)
             .field("workers", &self.workers)
-            .field("max_batch_samples", &self.max_batch_samples)
             .field("default_deadline", &self.default_deadline)
             .field("best_effort_deadline", &self.best_effort_deadline)
             .field("base_seed", &self.base_seed)
@@ -142,15 +142,14 @@ impl fmt::Debug for ServeConfig {
 #[derive(Debug, Clone)]
 pub struct ImputeRequest {
     /// Keys this request's RNG stream: same `(base_seed, id)` → same noise,
-    /// and therefore the same samples, regardless of batching, queue order,
-    /// or which worker serves it.
+    /// and therefore the same samples, regardless of queue order or which
+    /// worker serves it.
     pub id: u64,
     /// The window to impute (must match the model's `[N, L]`).
     pub window: Window,
     /// Ensemble size.
     pub n_samples: usize,
-    /// Reverse-process sampler; requests only coalesce with same-sampler
-    /// neighbours.
+    /// Reverse-process sampler.
     pub sampler: Sampler,
     /// Admission tier (see [`AdmissionTier`]); affects shedding and the
     /// default deadline only, never the values.
@@ -170,8 +169,8 @@ pub fn request_rng(base_seed: u64, id: u64) -> StdRng {
 struct Pending {
     req: ImputeRequest,
     enqueued: Instant,
-    /// Request-scoped trace id, allocated at submission; `trace` events link
-    /// it to the coalesced batch the request was ultimately served in.
+    /// Request-scoped trace id, allocated at submission; the worker serves
+    /// the request under it.
     trace: u64,
     tx: mpsc::Sender<Result<ImputationResult>>,
 }
@@ -225,8 +224,7 @@ const WORKER_LATENCY_HISTS: [&str; 8] = [
 ///
 /// Start a service around a (tiny, 1-epoch) trained model and answer one
 /// request; concurrent [`submit`](Self::submit) calls from other threads
-/// would coalesce into micro-batches — and spread over the worker pool —
-/// without changing any response:
+/// would spread over the worker pool without changing any response:
 ///
 /// ```
 /// use pristi_core::train::{train, TrainConfig};
@@ -284,17 +282,11 @@ pub struct ImputeService {
 impl ImputeService {
     /// Start a service around a loaded model.
     ///
-    /// Returns [`PristiError::DegenerateConfig`] for a zero
-    /// `max_batch_samples` or a zero `workers` (a `queue_capacity` of zero is
-    /// allowed — such a service rejects every request, which the backpressure
-    /// tests rely on; a `shed_threshold` above `queue_capacity` is also
-    /// allowed and simply never sheds).
+    /// Returns [`PristiError::DegenerateConfig`] for a zero `workers` (a
+    /// `queue_capacity` of zero is allowed — such a service rejects every
+    /// request, which the backpressure tests rely on; a `shed_threshold`
+    /// above `queue_capacity` is also allowed and simply never sheds).
     pub fn start(trained: TrainedModel, cfg: ServeConfig) -> Result<Self> {
-        if cfg.max_batch_samples < 1 {
-            return Err(PristiError::DegenerateConfig(
-                "service needs max_batch_samples >= 1".into(),
-            ));
-        }
         if cfg.workers < 1 {
             return Err(PristiError::DegenerateConfig(
                 "service needs at least one worker".into(),
@@ -327,16 +319,24 @@ impl ImputeService {
         Ok(Self { shared, workers: Mutex::new(workers) })
     }
 
-    /// Submit a request and block until its result (or typed failure).
+    /// Submit a request and block until its result (or typed failure):
+    /// [`enqueue`](Self::enqueue), then wait on the answer.
+    ///
+    /// A request that out-waits its deadline is [`PristiError::Timeout`].
+    pub fn submit(&self, req: ImputeRequest) -> Result<ImputationResult> {
+        self.enqueue(req)?.recv().map_err(|_| PristiError::ServiceStopped)?
+    }
+
+    /// Validate and admit a request without waiting for it; the receiver
+    /// yields its result (or typed failure) once a worker has served it.
     ///
     /// Malformed requests fail fast without reaching the queue:
     /// [`PristiError::ShapeMismatch`] for a window that disagrees with the
     /// model, [`PristiError::DegenerateConfig`] for a zero ensemble or a
     /// zero-step DDIM. Admission rejections are [`PristiError::QueueFull`]
     /// (`shed` distinguishes load-shedding from hard capacity); a request
-    /// that out-waits its deadline is [`PristiError::Timeout`]; a request
     /// arriving during drain is [`PristiError::ServiceStopped`].
-    pub fn submit(&self, req: ImputeRequest) -> Result<ImputationResult> {
+    pub fn enqueue(&self, req: ImputeRequest) -> Result<mpsc::Receiver<Result<ImputationResult>>> {
         self.validate(&req)?;
         let (tx, rx) = mpsc::channel();
         {
@@ -369,11 +369,16 @@ impl ImputeService {
             st_obs::gauge_set("serve.queue_depth", q.items.len() as f64);
         }
         self.shared.notify.notify_one();
-        rx.recv().map_err(|_| PristiError::ServiceStopped)?
+        Ok(rx)
     }
 
-    /// Submit-time validation, so one malformed request can never poison a
-    /// coalesced batch.
+    /// Cells of one request window (`N × L` of the served model).
+    pub(crate) fn cells(&self) -> usize {
+        self.shared.n_nodes * self.shared.window_len
+    }
+
+    /// Submit-time validation, so a malformed request never reaches a
+    /// worker.
     fn validate(&self, req: &ImputeRequest) -> Result<()> {
         if req.n_samples < 1 {
             return Err(PristiError::DegenerateConfig(
@@ -426,47 +431,25 @@ impl Drop for ImputeService {
 
 fn worker_loop(shared: &Shared, trained: &TrainedModel, widx: usize) {
     loop {
-        let batch = {
+        let next = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if q.poisoned {
                     drain_with_errors(&mut q);
                     return;
                 }
-                if !q.items.is_empty() {
-                    break;
+                if let Some(p) = q.items.pop_front() {
+                    st_obs::gauge_set("serve.queue_depth", q.items.len() as f64);
+                    break p;
                 }
                 if q.stopping {
                     return;
                 }
                 q = shared.notify.wait(q).unwrap_or_else(|e| e.into_inner());
             }
-            // Coalesce the longest same-sampler prefix that fits the sample
-            // budget. The coalescing key is the sampler *spec* (`Sampler`
-            // equality, i.e. the same string the JSONL `"sampler"` field
-            // carries) and nothing else — in particular it is
-            // checkpoint-independent: a service always serves one checkpoint,
-            // so two requests batch together iff their specs match. FIFO
-            // order: requests are never reordered, so a request is only ever
-            // delayed by work already ahead of it.
-            let first = q.items.pop_front().expect("loop above ensures non-empty");
-            let sampler = first.req.sampler;
-            let mut total = first.req.n_samples;
-            let mut batch = vec![first];
-            while let Some(next) = q.items.front() {
-                if next.req.sampler != sampler
-                    || total + next.req.n_samples > shared.cfg.max_batch_samples
-                {
-                    break;
-                }
-                total += next.req.n_samples;
-                batch.push(q.items.pop_front().expect("front() just returned Some"));
-            }
-            st_obs::gauge_set("serve.queue_depth", q.items.len() as f64);
-            batch
         };
         st_obs::counter_add(WORKER_BATCH_COUNTERS[widx.min(7)], 1.0);
-        serve_batch(shared, trained, widx, batch);
+        serve_one(shared, trained, widx, next);
     }
 }
 
@@ -481,113 +464,64 @@ fn drain_with_errors(q: &mut QueueState) {
     st_obs::gauge_set("serve.queue_depth", 0.0);
 }
 
-fn serve_batch(shared: &Shared, trained: &TrainedModel, widx: usize, batch: Vec<Pending>) {
-    // Expired requests get a typed Timeout instead of batch space.
-    let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
-    for p in batch {
-        let deadline = p.req.deadline.unwrap_or(match p.req.tier {
-            AdmissionTier::Interactive => shared.cfg.default_deadline,
-            AdmissionTier::BestEffort => shared.cfg.best_effort_deadline,
-        });
-        let waited = p.enqueued.elapsed();
-        if waited > deadline {
-            st_obs::counter_add("serve.timeout", 1.0);
-            let _ = p.tx.send(Err(PristiError::Timeout {
-                waited_ms: waited.as_millis() as u64,
-                deadline_ms: deadline.as_millis() as u64,
-            }));
-        } else {
-            live.push(p);
-        }
-    }
-    if live.is_empty() {
+fn serve_one(shared: &Shared, trained: &TrainedModel, widx: usize, p: Pending) {
+    // An expired request gets a typed Timeout instead of a worker turn.
+    let deadline = p.req.deadline.unwrap_or(match p.req.tier {
+        AdmissionTier::Interactive => shared.cfg.default_deadline,
+        AdmissionTier::BestEffort => shared.cfg.best_effort_deadline,
+    });
+    let waited = p.enqueued.elapsed();
+    if waited > deadline {
+        st_obs::counter_add("serve.timeout", 1.0);
+        let _ = p.tx.send(Err(PristiError::Timeout {
+            waited_ms: waited.as_millis() as u64,
+            deadline_ms: deadline.as_millis() as u64,
+        }));
         return;
     }
 
-    let sampler = live[0].req.sampler;
-    let total_samples: usize = live.iter().map(|p| p.req.n_samples).sum();
-    // The whole coalesced batch runs under one batch-scoped trace id; a
-    // `trace` event per member links each request's submission-time trace to
-    // it, so every span below (serve_batch → impute → denoise_step) can be
-    // attributed back to the exact requests it served.
-    let batch_trace = st_obs::next_trace_id();
-    for p in &live {
-        st_obs::emit(
-            "trace",
-            vec![
-                ("trace", st_obs::Value::U(p.trace)),
-                ("batch", st_obs::Value::U(batch_trace)),
-                ("request", st_obs::Value::U(p.req.id)),
-            ],
-        );
-    }
-    let _trace = st_obs::trace_scope(batch_trace);
+    let _trace = st_obs::trace_scope(p.trace);
     let _span = st_obs::span!(
         "serve_batch",
-        requests = live.len() as u64,
-        samples = total_samples as u64,
+        request = p.req.id,
+        samples = p.req.n_samples as u64,
         worker = widx as u64,
     );
-    st_obs::hist_record("serve.batch_requests", live.len() as f64);
-    st_obs::hist_record("serve.batch_samples", total_samples as f64);
-
-    let ids: Vec<u64> = live.iter().map(|p| p.req.id).collect();
-    // The Pending list (and with it every caller's response channel) stays
-    // outside the unwind boundary: a panicking denoise step must still leave
-    // us able to answer the batch with typed errors.
+    st_obs::hist_record("serve.batch_requests", 1.0);
+    // The response channel stays outside the unwind boundary: a panicking
+    // denoise step must still leave us able to answer with a typed error.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(hook) = &shared.cfg.fault_hook {
-            hook(&ids);
+            hook(p.req.id);
         }
-        let mut items: Vec<BatchItem<'_>> = live
-            .iter()
-            .map(|p| BatchItem {
-                window: &p.req.window,
-                n_samples: p.req.n_samples,
-                rng: request_rng(shared.cfg.base_seed, p.req.id),
-            })
-            .collect();
-        impute_batch(trained, &mut items, sampler)
+        let opts = ImputeOptions { n_samples: p.req.n_samples, sampler: p.req.sampler };
+        let mut rng = request_rng(shared.cfg.base_seed, p.req.id);
+        impute(trained, &p.req.window, &opts, &mut rng)
     }));
     match outcome {
-        Ok(Ok(results)) => {
-            for (p, res) in live.iter().zip(results) {
+        Ok(res) => {
+            if res.is_ok() {
                 let latency_ms = p.enqueued.elapsed().as_secs_f64() * 1e3;
                 st_obs::hist_record("serve.latency_ms", latency_ms);
                 st_obs::hist_record(WORKER_LATENCY_HISTS[widx.min(7)], latency_ms);
-                let _ = p.tx.send(Ok(res));
             }
+            let _ = p.tx.send(res);
         }
-        // Submit-time validation makes this unreachable in practice, but a
-        // failed batch must still answer every member.
-        Ok(Err(e)) => {
-            for p in &live {
-                let _ = p.tx.send(Err(e.clone()));
-            }
-        }
-        // A panic is contained: this batch gets typed errors, the service is
-        // poisoned (queued requests drain with typed errors, submits are
+        // A panic is contained: this request gets a typed error, the service
+        // is poisoned (queued requests drain with typed errors, submits are
         // rejected), and shutdown still joins every worker.
         Err(payload) => {
-            let detail = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "panic with non-string payload".into());
             st_obs::counter_add("serve.worker_panics", 1.0);
-            // Poison BEFORE answering the batch: a caller that has seen its
-            // typed error must find the service already stopping, so a
-            // follow-up submit can never race past the flag onto a healthy
-            // worker.
+            // Poison BEFORE answering: a caller that has seen its typed error
+            // must find the service already stopping, so a follow-up submit
+            // can never race past the flag onto a healthy worker.
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.stopping = true;
             q.poisoned = true;
             drain_with_errors(&mut q);
             drop(q);
             shared.notify.notify_all();
-            for p in &live {
-                let _ = p.tx.send(Err(PristiError::WorkerPanicked(detail.clone())));
-            }
+            let _ = p.tx.send(Err(PristiError::WorkerPanicked(panic_detail(&*payload))));
         }
     }
 }

@@ -51,12 +51,18 @@
 //! ```
 //!
 //! `tick` carries one cell per sensor (`null` = missing; a number must stay
-//! finite as `f32`, see [`parse_cell`]). `session`
-//! (default 0) multiplexes independent feeds over one connection; sessions
-//! are sharded across `workers` threads by `session % workers`, and a
-//! sequence-numbered reorder buffer keeps responses in input order, so
-//! output bytes are invariant to the worker count.
+//! finite as `f32`, see [`parse_cell`]). `session` (default 0) multiplexes
+//! independent feeds over one connection; sessions are sharded across
+//! `workers` threads by `session % workers`, so each session sees its ticks
+//! in order. The engine runs on the shared front end of [`crate::wire`]:
+//! each answer is written as soon as it and every answer before it are
+//! ready, always in input order, so output bytes are invariant to the worker
+//! count and an interactive client never waits for end of input.
 
+use crate::wire::{
+    error_line, max_line_bytes, panic_detail, parse_cell, pipeline, tick_answer, ParseFailure,
+    Ticket,
+};
 use pristi_core::train::TrainedModel;
 use pristi_core::{
     impute_prepared, ImputationResult, ImputeOptions, PreparedWindow, PriorCache, PristiError,
@@ -66,7 +72,7 @@ use st_data::SlidingInterp;
 use st_obs::json::{self, Json};
 use st_rand::{SeedableRng, StdRng};
 use st_tensor::NdArray;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -356,7 +362,7 @@ pub struct StreamServerConfig {
     /// Parameters every session of this engine runs with.
     pub session: StreamConfig,
     /// Worker threads; sessions are sharded by `session_id % workers`.
-    /// Output bytes are invariant to this (reorder buffer).
+    /// Output bytes are invariant to this (answers leave in input order).
     pub workers: usize,
 }
 
@@ -379,106 +385,89 @@ pub struct StreamSummary {
     pub skips: u64,
 }
 
-/// One parsed input line, routed to a session worker.
+/// What a session worker sends back for one tick: whether it imputed
+/// (`None` for an error line) and the answer line.
+type TickReply = (Option<bool>, String);
+
+/// One parsed input line, routed to a session worker with its reply channel.
 struct WorkItem {
-    seq: u64,
     line_no: u64,
-    id: Option<u64>,
+    id: u64,
     session: u64,
     tick: Tick,
+    reply: mpsc::Sender<TickReply>,
 }
 
 /// Drive the streaming JSONL loop: ticks in on `input`, one response per
-/// line out on `output`, in input order regardless of `cfg.workers`.
+/// line out on `output`, in input order regardless of `cfg.workers`, each
+/// written as soon as it is ready.
 ///
 /// Used by `pristi serve --stream` (stdin/stdout) and driven in-memory by
 /// the loadtest harness and the stream test-suite. Only I/O failures are
 /// `Err`; malformed lines and per-tick imputation failures become typed
 /// error *responses* (see the [module docs](self)) and the loop continues.
-pub fn run_stream<R: BufRead, W: Write>(
+pub fn run_stream<R: BufRead, W: Write + Send>(
     trained: Arc<TrainedModel>,
     cfg: &StreamServerConfig,
     input: R,
-    mut output: W,
+    output: W,
 ) -> std::io::Result<StreamSummary> {
     let workers = cfg.workers.max(1);
     let session_cfg = cfg.session;
+    let max_line = max_line_bytes(trained.model.n_nodes());
     let mut summary = StreamSummary::default();
-    std::thread::scope(|scope| -> std::io::Result<StreamSummary> {
-        // Reorder sink: workers (and the parse loop, for error lines) send
-        // `(seq, imputed, response)`; responses leave in `seq` order.
-        let (out_tx, out_rx) = mpsc::channel::<(u64, Option<bool>, String)>();
+    std::thread::scope(|scope| {
         let worker_txs: Vec<mpsc::Sender<WorkItem>> = (0..workers)
             .map(|widx| {
                 let (tx, rx) = mpsc::channel::<WorkItem>();
                 let trained = Arc::clone(&trained);
-                let out_tx = out_tx.clone();
-                scope.spawn(move || worker_loop(widx, trained, session_cfg, rx, out_tx));
+                scope.spawn(move || worker_loop(widx, trained, session_cfg, rx));
                 tx
             })
             .collect();
-
-        let mut seq = 0u64;
-        let mut line_no = 0u64;
-        for line in input.lines() {
-            let line = line?;
-            line_no += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_tick(&line) {
+        pipeline(
+            input,
+            output,
+            max_line,
+            |line_no, line| match parse_tick(line) {
                 Ok((id, session, tick)) => {
-                    let item = WorkItem { seq, line_no, id: Some(id), session, tick };
-                    let widx = (session % workers as u64) as usize;
-                    worker_txs[widx].send(item).expect("stream worker hung up");
+                    let (reply, rx) = mpsc::channel();
+                    let item = WorkItem { line_no, id, session, tick, reply };
+                    worker_txs[(session % workers as u64) as usize]
+                        .send(item)
+                        .expect("session workers contain panics and outlive the reader");
+                    Ticket::Pending(rx)
                 }
                 Err((id, kind, detail)) => {
                     st_obs::counter_add("stream.errors", 1.0);
-                    let resp = error_line(id, kind, &detail, line_no);
-                    out_tx.send((seq, None, resp)).expect("stream sink hung up");
+                    Ticket::Ready(error_line(id, kind, &detail, line_no))
                 }
-            }
-            seq += 1;
-        }
-        drop(worker_txs);
-        drop(out_tx);
-
-        // Drain the sink in sequence order; flush per line so an
-        // interactive client never deadlocks on a buffered response.
-        let mut pending: BTreeMap<u64, (Option<bool>, String)> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        for (s, imputed, resp) in out_rx {
-            pending.insert(s, (imputed, resp));
-            while let Some((imputed, resp)) = pending.remove(&next_seq) {
+            },
+            |_, t| {
+                let (imputed, line) = match t {
+                    Ticket::Ready(line) => (None, line),
+                    Ticket::Pending(rx) => rx.recv().expect("a session worker answers every tick"),
+                };
                 match imputed {
                     None => summary.errors += 1,
-                    Some(true) => {
-                        summary.ok += 1;
-                        summary.imputes += 1;
-                    }
-                    Some(false) => {
-                        summary.ok += 1;
-                        summary.skips += 1;
-                    }
+                    Some(true) => summary.imputes += 1,
+                    Some(false) => summary.skips += 1,
                 }
-                writeln!(output, "{resp}")?;
-                output.flush()?;
-                next_seq += 1;
-            }
-        }
-        assert!(pending.is_empty(), "stream reorder buffer drained out of order");
-        Ok(summary)
-    })
+                summary.ok += u64::from(imputed.is_some());
+                line
+            },
+        )
+    })?;
+    Ok(summary)
 }
 
 /// One shard's loop: owns every session with `session_id % workers == widx`,
-/// processes its ticks in arrival order, reports each response to the sink.
+/// processes its ticks in arrival order, answers each on its reply channel.
 fn worker_loop(
     widx: usize,
     trained: Arc<TrainedModel>,
     cfg: StreamConfig,
     rx: mpsc::Receiver<WorkItem>,
-    out_tx: mpsc::Sender<(u64, Option<bool>, String)>,
 ) {
     let mut sessions: HashMap<u64, StreamSession> = HashMap::new();
     for item in rx {
@@ -489,28 +478,25 @@ fn worker_loop(
             "stream_tick",
             worker = widx as u64,
             session = item.session,
-            seq = item.seq,
+            line = item.line_no,
         );
         st_obs::counter_add("stream.ticks", 1.0);
-        let (imputed, resp) = match serve_tick(&trained, cfg, &mut sessions, &item) {
+        let outcome = serve_tick(&trained, cfg, &mut sessions, &item);
+        match &outcome {
             Ok(out) => {
                 st_obs::counter_add(
                     if out.imputed { "stream.imputes" } else { "stream.skips" },
                     1.0,
                 );
                 st_obs::hist_record("stream.revisions", out.revisions.len() as f64);
-                (Some(out.imputed), ok_line(item.id.unwrap_or(0), item.session, &out))
             }
-            Err(e) => {
-                st_obs::counter_add("stream.errors", 1.0);
-                (None, error_line(item.id, e.kind(), &e.to_string(), item.line_no))
-            }
-        };
+            Err(_) => st_obs::counter_add("stream.errors", 1.0),
+        }
+        let reply = tick_answer(item.id, item.session, outcome, item.line_no);
         st_obs::hist_record("stream.tick_ms", t0.elapsed().as_secs_f64() * 1e3);
         st_obs::gauge_set("stream.sessions", sessions.len() as f64);
-        if out_tx.send((item.seq, imputed, resp)).is_err() {
-            return; // sink gone: the driver already failed on I/O
-        }
+        // A dropped receiver means the writer already failed on I/O.
+        let _ = item.reply.send(reply);
     }
 }
 
@@ -532,23 +518,11 @@ fn serve_tick(
         }
     };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.tick(&item.tick)));
-    match outcome {
-        Ok(res) => res,
-        Err(panic) => {
-            sessions.remove(&item.session);
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            Err(PristiError::WorkerPanicked(msg))
-        }
-    }
+    outcome.unwrap_or_else(|payload| {
+        sessions.remove(&item.session);
+        Err(PristiError::WorkerPanicked(panic_detail(&*payload)))
+    })
 }
-
-/// Parse failure for one wire line: `(id-if-known, kind, detail)`, shared
-/// by both wire modes' line parsers.
-pub type ParseFailure = (Option<u64>, &'static str, String);
 
 /// Parse one wire line into `(id, session, tick)`.
 fn parse_tick(line: &str) -> std::result::Result<(u64, u64, Tick), ParseFailure> {
@@ -584,95 +558,9 @@ fn parse_tick(line: &str) -> std::result::Result<(u64, u64, Tick), ParseFailure>
     }
 }
 
-/// Parse one wire cell of the `null | number` grammar both wire modes share
-/// (`pristi serve` request rows and `serve --stream` ticks): `null` is a
-/// missing value, a number is an observation.
-///
-/// A number that is not finite once narrowed to `f32` (`1e39`, `-1e39`) is
-/// refused rather than stored as ±inf; callers answer the returned detail
-/// with a `bad_request` error line.
-pub fn parse_cell(cell: &Json) -> std::result::Result<Option<f32>, &'static str> {
-    match cell {
-        Json::Null => Ok(None),
-        other => {
-            let v = other.as_f64().ok_or("must be a number or null")? as f32;
-            if v.is_finite() {
-                Ok(Some(v))
-            } else {
-                Err("is outside the finite f32 range")
-            }
-        }
-    }
-}
-
-/// Render a finite f32 (or `null`) for the wire.
-fn num_json(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-/// Render one `ok:true` response line.
-fn ok_line(id: u64, session: u64, out: &TickOutput) -> String {
-    let mut revs = String::from("[");
-    for (i, r) in out.revisions.iter().enumerate() {
-        if i > 0 {
-            revs.push(',');
-        }
-        revs.push_str(&format!(
-            "{{\"node\":{},\"step\":{},\"q05\":{},\"q50\":{},\"q95\":{}}}",
-            r.node,
-            r.step,
-            num_json(r.q05),
-            num_json(r.q50),
-            num_json(r.q95)
-        ));
-    }
-    revs.push(']');
-    format!(
-        "{{\"id\":{id},\"ok\":true,\"session\":{session},\"step\":{},\"watermark\":{},\
-         \"imputed\":{},\"revisions\":{revs}}}",
-        out.step, out.watermark, out.imputed
-    )
-}
-
-/// Render one typed error response line — the same
-/// `{"id":..,"ok":false,"error":{kind,detail,line}}` shape `pristi serve`
-/// uses in request mode (README §Command line).
-pub fn error_line(id: Option<u64>, kind: &str, detail: &str, line_no: u64) -> String {
-    let id = id.map_or_else(|| "null".to_string(), |v| v.to_string());
-    format!(
-        "{{\"id\":{id},\"ok\":false,\"error\":{{\"kind\":{},\"detail\":{},\"line\":{line_no}}}}}",
-        json::escape(kind),
-        json::escape(detail)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cell(text: &str) -> std::result::Result<Option<f32>, &'static str> {
-        parse_cell(&json::parse(text).unwrap())
-    }
-
-    #[test]
-    fn cells_overflowing_f32_are_rejected_in_both_signs() {
-        for text in ["1e39", "-1e39", "1e400"] {
-            assert_eq!(cell(text), Err("is outside the finite f32 range"), "{text}");
-        }
-        assert_eq!(cell("\"x\""), Err("must be a number or null"));
-    }
-
-    #[test]
-    fn ordinary_cells_and_null_are_unchanged() {
-        assert_eq!(cell("null"), Ok(None));
-        for (text, v) in [("0", 0.0f32), ("-2.5", -2.5), ("17.25", 17.25), ("3e38", 3e38)] {
-            assert_eq!(cell(text), Ok(Some(v)), "{text}");
-        }
-    }
 
     #[test]
     fn overflowing_tick_is_a_bad_request() {

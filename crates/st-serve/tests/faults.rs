@@ -69,13 +69,12 @@ fn concurrent_clients_race_backpressure_without_hangs() {
             trained,
             ServeConfig {
                 queue_capacity: 2,
-                max_batch_samples: 4,
                 // Tight-but-real deadline so expiry is *possible* while
                 // loaded, exercising the timeout path alongside QueueFull.
                 default_deadline: Duration::from_millis(200),
-                // Hold each batch long enough that the 16-client burst
+                // Hold each request long enough that the 16-client burst
                 // reliably overflows the 2-slot queue.
-                fault_hook: Some(Arc::new(|_ids: &[u64]| {
+                fault_hook: Some(Arc::new(|_id: u64| {
                     std::thread::sleep(Duration::from_millis(30));
                 })),
                 ..Default::default()
@@ -147,7 +146,7 @@ fn request_during_drain_gets_typed_error() {
 }
 
 /// A panicking denoise step (injected via the test-only fault hook) is
-/// contained: the batch and everything queued behind it get typed
+/// contained: that request and everything queued behind it get typed
 /// [`PristiError::WorkerPanicked`] errors carrying the panic message, later
 /// submissions are rejected, and `shutdown` still joins every worker.
 #[test]
@@ -159,9 +158,8 @@ fn panicking_worker_is_contained_with_typed_errors() {
             trained,
             ServeConfig {
                 workers: 2,
-                max_batch_samples: 1, // no coalescing: the poison rides alone
-                fault_hook: Some(Arc::new(|ids: &[u64]| {
-                    if ids.contains(&666) {
+                fault_hook: Some(Arc::new(|id: u64| {
+                    if id == 666 {
                         panic!("injected denoise fault");
                     }
                 })),

@@ -1,4 +1,4 @@
-//! Service contract tests: micro-batching under concurrent load returns
+//! Service contract tests: concurrent load through the worker pool returns
 //! bit-for-bit the same samples as direct `impute` calls, and the failure
 //! modes (full queue, missed deadline, malformed request, shutdown) are
 //! typed errors.
@@ -59,7 +59,7 @@ fn request(id: u64, window: &Window, n_samples: usize) -> ImputeRequest {
 }
 
 /// The tentpole contract: many clients hammering the service concurrently
-/// (forcing coalesced micro-batches) each get bit-for-bit the samples a
+/// (queueing behind each other) each get bit-for-bit the samples a
 /// direct `impute` call with their request's RNG stream produces.
 #[test]
 fn concurrent_batched_serving_is_bitwise_deterministic() {
@@ -86,7 +86,7 @@ fn concurrent_batched_serving_is_bitwise_deterministic() {
     let service = Arc::new(
         ImputeService::start(
             trained,
-            ServeConfig { base_seed, max_batch_samples: 8, ..Default::default() },
+            ServeConfig { base_seed, ..Default::default() },
         )
         .unwrap(),
     );
@@ -196,16 +196,14 @@ fn failure_modes_are_typed_errors() {
     {
         let (_, trained) = trained_setup();
         assert!(matches!(
-            ImputeService::start(trained, ServeConfig { max_batch_samples: 0, ..Default::default() }),
+            ImputeService::start(trained, ServeConfig { workers: 0, ..Default::default() }),
             Err(PristiError::DegenerateConfig(_))
         ));
     }
 }
 
-/// Concurrent requests spread across every solver family: coalescing keys on
-/// the full sampler spec (checkpoint-independent), so mixed traffic splits
-/// into per-spec micro-batches and every response is still bit-for-bit the
-/// solo `impute` result for that request's RNG stream.
+/// Concurrent requests spread across every solver family: every response is
+/// still bit-for-bit the solo `impute` result for that request's RNG stream.
 #[test]
 fn mixed_solver_traffic_is_bitwise_deterministic() {
     let (data, trained) = trained_setup();
@@ -239,7 +237,7 @@ fn mixed_solver_traffic_is_bitwise_deterministic() {
     let service = Arc::new(
         ImputeService::start(
             trained,
-            ServeConfig { base_seed, max_batch_samples: 8, ..Default::default() },
+            ServeConfig { base_seed, ..Default::default() },
         )
         .unwrap(),
     );
@@ -265,7 +263,7 @@ fn mixed_solver_traffic_is_bitwise_deterministic() {
     }
 }
 
-/// DDIM requests are served and batch among themselves.
+/// DDIM requests round-trip through the service.
 #[test]
 fn ddim_requests_round_trip_through_the_service() {
     let (data, trained) = trained_setup();

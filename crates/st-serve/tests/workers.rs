@@ -38,7 +38,7 @@ fn serve_all(ckpt: &[u8], workers: usize, windows: &[Window], base_seed: u64) ->
     let service = Arc::new(
         ImputeService::start(
             trained,
-            ServeConfig { workers, base_seed, max_batch_samples: 8, ..Default::default() },
+            ServeConfig { workers, base_seed, ..Default::default() },
         )
         .unwrap(),
     );

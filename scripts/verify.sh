@@ -169,6 +169,40 @@ grep -q '"watermark":' "$SMOKE_DIR/stream_a.jsonl" \
     || { echo "error: stream responses missing the settled watermark" >&2; exit 1; }
 echo "stream smoke: 13 ticks, replay + --workers 4 byte-identical"
 
+echo "== interactive wire smoke: each answer arrives before the next line is sent =="
+# Feed the smoke inputs one line at a time through a coproc whose stdin stays
+# open, and require line k's answer (read -t) before line k+1 is written: a
+# front end that held answers until EOF would time out here.
+interactive_smoke() {  # LABEL INPUT EXPECTED_OUTPUT PRISTI-ARGS...
+    local label="$1" input="$2" expected="$3" k=0 line answer
+    shift 3
+    coproc SRV { "$PRISTI" "$@" 2>/dev/null; }
+    while IFS= read -r line; do
+        k=$((k + 1))
+        printf '%s\n' "$line" >&"${SRV[1]}"
+        if ! IFS= read -r -t 120 -u "${SRV[0]}" answer; then
+            echo "error: $label: no answer to line $k before line $((k + 1)) was due" >&2
+            kill "$SRV_PID" 2>/dev/null || true
+            exit 1
+        fi
+        printf '%s\n' "$answer" >> "$SMOKE_DIR/$label.jsonl"
+    done < "$input"
+    eval "exec ${SRV[1]}>&-"
+    wait "$SRV_PID"
+    cmp -s "$SMOKE_DIR/$label.jsonl" "$expected" \
+        || { echo "error: $label answers differ from the piped run" >&2; exit 1; }
+    echo "$label: $k lines, each answered before the next was sent"
+}
+interactive_smoke serve_interactive "$SMOKE_DIR/requests.jsonl" "$SMOKE_DIR/responses.jsonl" \
+    serve --ckpt "$SMOKE_DIR/model.ckpt"
+interactive_smoke stream_interactive "$SMOKE_DIR/ticks.jsonl" "$SMOKE_DIR/stream_a.jsonl" \
+    serve --stream --ckpt "$SMOKE_DIR/model.ckpt" --samples 2
+# A retired or mistyped flag is a usage error, not a silent default.
+STATUS=0
+"$PRISTI" serve --ckpt "$SMOKE_DIR/model.ckpt" --batch 4 < /dev/null 2>/dev/null || STATUS=$?
+[ "$STATUS" -eq 2 ] \
+    || { echo "error: serve --batch exited $STATUS, expected usage error 2" >&2; exit 1; }
+
 echo "== wire finite-value gate: an f32-overflowing cell is a bad_request =="
 # 1e39 overflows f32; each mode must answer the line with exactly one typed
 # bad_request error instead of accepting the cell as an observation.

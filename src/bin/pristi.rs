@@ -10,7 +10,7 @@
 //!                               [--epochs 30] [--window 24] [--seed N] [--steps-per-day 24]
 //! pristi checkpoint load-verify --ckpt model.ckpt
 //! pristi serve    --ckpt model.ckpt [--samples 8] [--sampler SPEC | --ddim K] \
-//!                 [--batch 32] [--deadline-ms 30000] [--seed N] [--workers N]
+//!                 [--deadline-ms 30000] [--seed N] [--workers N]
 //! pristi serve    --stream --ckpt model.ckpt [--samples 8] [--sampler SPEC] \
 //!                 [--horizon H] [--seed N] [--workers N]
 //! pristi loadtest [--seed N] [--clients C] [--requests R] [--workers 1,4] \
@@ -29,38 +29,20 @@
 //! `checkpoint save` trains the same way and persists the model as an
 //! `st-ckpt/1` file; `checkpoint load-verify` proves a file parses, verifies
 //! its checksum, and rebuilds the model. `serve` loads a checkpoint into a
-//! micro-batching [`st_serve::ImputeService`] and answers JSONL requests from
-//! stdin with one JSON response per line on stdout:
+//! multi-worker [`st_serve::ImputeService`] and answers JSONL requests from
+//! stdin with one JSON response per line on stdout; `serve --stream`
+//! switches the same binary into sliding-window streaming (one column of
+//! sensor readings per line in, revised quantiles for still-open gaps out).
+//! Both modes run on one pipelined front end ([`st_serve::wire`]): the next
+//! line is read while earlier ones are served, and each answer is written,
+//! in input order, as soon as it is ready. See [`st_serve::wire`] for the
+//! request format and error shape, [`st_serve::stream`] for ticks, and
+//! README §Streaming for a runnable example. Responses reproduce
+//! bit-for-bit for the same checkpoint, `--seed`, and request `id`,
+//! regardless of `--workers` count.
 //!
-//! ```text
-//! request:  {"id": 1, "values": [[1.0, null, ...], ...N rows of L cells...],
-//!            "n_samples": 8, "ddim_steps": 4}
-//! response: {"id": 1, "ok": true, "median": [[...]], "q05": [[...]], "q95": [[...]]}
-//! failure:  {"id": 1, "ok": false, "error": {"kind": "shape_mismatch",
-//!            "detail": "shape mismatch for ...", "line": 1}}
-//! ```
-//!
-//! Failures share one typed shape across request and stream modes:
-//! `error.kind` is the stable machine-readable label
-//! ([`pristi_core::PristiError::kind`] for service errors, `bad_json` /
-//! `bad_request` for parse failures), `error.detail` the human-readable
-//! message, and `error.line` the 1-based stdin line that caused it.
-//!
-//! `serve --stream` switches the same binary into sliding-window streaming:
-//! JSONL *ticks* in (one column of sensor readings per line), revised
-//! quantiles for still-open gaps out, with the conditional prior updated
-//! incrementally between ticks — see [`st_serve::stream`] for the wire
-//! format and README §Streaming for a runnable example.
-//!
-//! `null` cells are the missing values to impute; a `"sampler"` spec string
-//! (`"ddpm"`, `"ddim:K[:ETA]"`, `"pndm:K[:ORDER]"`, `"refine:K[:STRENGTH]"` —
-//! the same grammar as the `--sampler` flag) picks the reverse-process solver
-//! per request, with the older `"ddim_steps": K` integer kept as an alias for
-//! `"ddim:K"` (and an optional `"tier"` of `"interactive"` or `"best_effort"`
-//! selects the admission-control tier). Requests batch together exactly when
-//! their sampler specs are equal. Responses reproduce bit-for-bit for the
-//! same checkpoint, `--seed`, and request `id`, regardless of batching or
-//! `--workers` count.
+//! Every subcommand that takes `--key value` flags rejects an unknown flag
+//! or an unparsable number with its usage and exit status 2.
 //!
 //! `loadtest` drives the same service with a seeded closed-loop schedule and
 //! writes `BENCH_serve.json` (see the [`loadtest`] module docs).
@@ -70,19 +52,15 @@ use pristi_core::{impute, ImputeOptions, PristiConfig, Sampler};
 use st_rand::StdRng;
 use st_rand::SeedableRng;
 use st_baselines::visible;
-use st_data::dataset::Window;
 use st_data::generators::{generate_air_quality, generate_traffic, AirQualityConfig, TrafficConfig};
 use st_data::io::{load_dataset, panel_to_csv};
 use st_data::SpatioTemporalDataset;
-use st_obs::json::{self, Json};
-use st_serve::stream::{error_line, ParseFailure};
 use st_serve::{
-    load_checkpoint, parse_cell, run_stream, save_checkpoint, AdmissionTier, ImputeRequest, ImputeService,
-    ServeConfig, StreamConfig, StreamServerConfig,
+    load_checkpoint, run_requests, run_stream, save_checkpoint, ImputeService, ServeConfig,
+    StreamConfig, StreamServerConfig,
 };
 use st_tensor::NdArray;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -96,84 +74,60 @@ mod profile;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let flagged = |args: &[String], spec: &FlagSpec, run: fn(Flags) -> ExitCode| {
+        match parse_flags(args, spec) {
+            Ok(flags) => run(flags),
+            Err(msg) => {
+                eprintln!("{msg}");
+                usage()
+            }
+        }
+    };
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("impute") => run_impute(parse_flags(&args[1..])),
-        Some("generate") => run_generate(parse_flags(&args[1..])),
-        Some("serve") => {
-            // `--stream` is a boolean mode switch, not a `--key value` pair.
-            let mut rest: Vec<String> = args[1..].to_vec();
-            let stream = match rest.iter().position(|a| a == "--stream") {
-                Some(pos) => {
-                    rest.remove(pos);
-                    true
-                }
-                None => false,
-            };
-            if stream {
-                run_serve_stream(parse_flags(&rest))
-            } else {
-                run_serve(parse_flags(&rest))
-            }
-        }
-        Some("loadtest") => loadtest::run(&args[1..]),
-        Some("profile") => profile::run(&args[1..]),
-        Some("bench") => run_bench(&args[1..]),
+        Some("impute") => flagged(rest, &IMPUTE_FLAGS, run_impute),
+        Some("generate") => flagged(rest, &GENERATE_FLAGS, run_generate),
+        Some("serve") if rest.iter().any(|a| a == "--stream") => flagged(rest, &STREAM_FLAGS, run_serve),
+        Some("serve") => flagged(rest, &SERVE_FLAGS, run_serve),
+        Some("loadtest") => loadtest::run(rest),
+        Some("profile") => profile::run(rest),
+        Some("bench") if rest.iter().any(|a| a == "--compare") => run_bench_compare(rest),
+        Some("bench") if rest.iter().any(|a| a == "--sweep") => flagged(rest, &SWEEP_FLAGS, run_bench_sweep),
+        Some("bench") => flagged(rest, &FILTER_FLAGS, run_bench_filter),
         Some("checkpoint") => match args.get(1).map(String::as_str) {
-            Some("save") => run_checkpoint_save(parse_flags(&args[2..])),
-            Some("load-verify") => run_checkpoint_verify(parse_flags(&args[2..])),
-            _ => {
-                eprintln!("usage: pristi checkpoint <save|load-verify> [--flag value]...");
-                eprintln!("  pristi checkpoint save --data panel.csv --coords coords.csv --out model.ckpt");
-                eprintln!("                         [--epochs N] [--window L] [--steps-per-day N] [--seed N]");
-                eprintln!("  pristi checkpoint load-verify --ckpt model.ckpt");
-                ExitCode::from(2)
-            }
+            Some("save") => flagged(&args[2..], &CKPT_SAVE_FLAGS, run_checkpoint_save),
+            Some("load-verify") => flagged(&args[2..], &CKPT_VERIFY_FLAGS, run_checkpoint_verify),
+            _ => usage(),
         },
-        _ => {
-            eprintln!("usage: pristi <impute|generate|checkpoint|serve|loadtest> [--flag value]...");
-            eprintln!("  pristi generate --kind aqi|metr-la|pems-bay --out panel.csv --coords-out coords.csv");
-            eprintln!("  pristi impute --data panel.csv --coords coords.csv --out imputed.csv");
-            eprintln!("                [--epochs N] [--samples S] [--window L]");
-            eprintln!("                [--sampler ddpm|ddim:K[:ETA]|pndm:K[:ORDER]|refine:K[:STRENGTH] | --ddim K]");
-            eprintln!("                [--steps-per-day N] [--quantiles lo.csv,hi.csv] [--seed N]");
-            eprintln!("  pristi checkpoint save --data panel.csv --coords coords.csv --out model.ckpt");
-            eprintln!("  pristi checkpoint load-verify --ckpt model.ckpt");
-            eprintln!("  pristi serve --ckpt model.ckpt [--samples S] [--sampler SPEC | --ddim K]");
-            eprintln!("               [--batch S_max] [--deadline-ms N] [--seed N] [--workers N]");
-            eprintln!("               (JSONL requests on stdin)");
-            eprintln!("  pristi serve --stream --ckpt model.ckpt [--samples S] [--sampler SPEC]");
-            eprintln!("               [--horizon H] [--seed N] [--workers N]");
-            eprintln!("               (JSONL ticks on stdin, revised imputations out)");
-            eprintln!("  pristi loadtest [--seed N] [--clients C] [--requests R] [--workers 1,4]");
-            eprintln!("                  [--out BENCH_serve.json] [--ckpt model.ckpt] [--quick]");
-            eprintln!("                  [--stream]");
-            eprintln!("  pristi profile  [--seed N] [--out PROFILE.json] [--folded PROFILE_folded.txt]");
-            eprintln!("                  [--quick]");
-            eprintln!("  pristi bench --compare OLD,NEW [--threshold-pct P]");
-            eprintln!("  pristi bench --sweep [--quick] [--seed N] [--out PATH]");
-            eprintln!("  pristi bench --filter <substr> [--quick] [--json]");
-            ExitCode::from(2)
-        }
+        _ => usage(),
     }
 }
 
-/// `pristi bench` dispatcher:
-///
-/// * `--compare OLD,NEW [--threshold-pct P]` — diff two bench reports;
-/// * `--sweep [--quick] [--seed N] [--out PATH]` — the steps-vs-CRPS solver
-///   accuracy sweep (exits nonzero when a gated few-step configuration
-///   drifts from the 50-step reference);
-/// * `--filter <substr> [--quick] [--json]` — run the matching subset of the
-///   micro-benchmark cases in-process, so a kernel iteration doesn't require
-///   running the full `cargo bench` suite.
-fn run_bench(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--compare") {
-        run_bench_compare(args)
-    } else if args.iter().any(|a| a == "--sweep") {
-        run_bench_sweep(args)
-    } else {
-        run_bench_filter(args)
-    }
+/// Print the top-level usage and exit with status 2.
+fn usage() -> ExitCode {
+    eprintln!("usage: pristi <impute|generate|checkpoint|serve|loadtest> [--flag value]...");
+    eprintln!("  pristi generate --kind aqi|metr-la|pems-bay --out panel.csv --coords-out coords.csv");
+    eprintln!("  pristi impute --data panel.csv --coords coords.csv --out imputed.csv");
+    eprintln!("                [--epochs N] [--samples S] [--window L]");
+    eprintln!("                [--sampler ddpm|ddim:K[:ETA]|pndm:K[:ORDER]|refine:K[:STRENGTH] | --ddim K]");
+    eprintln!("                [--steps-per-day N] [--quantiles lo.csv,hi.csv] [--seed N]");
+    eprintln!("  pristi checkpoint save --data panel.csv --coords coords.csv --out model.ckpt");
+    eprintln!("  pristi checkpoint load-verify --ckpt model.ckpt");
+    eprintln!("  pristi serve --ckpt model.ckpt [--samples S] [--sampler SPEC | --ddim K]");
+    eprintln!("               [--deadline-ms N] [--seed N] [--workers N]");
+    eprintln!("               (JSONL requests on stdin)");
+    eprintln!("  pristi serve --stream --ckpt model.ckpt [--samples S] [--sampler SPEC]");
+    eprintln!("               [--horizon H] [--seed N] [--workers N]");
+    eprintln!("               (JSONL ticks on stdin, revised imputations out)");
+    eprintln!("  pristi loadtest [--seed N] [--clients C] [--requests R] [--workers 1,4]");
+    eprintln!("                  [--out BENCH_serve.json] [--ckpt model.ckpt] [--quick]");
+    eprintln!("                  [--stream]");
+    eprintln!("  pristi profile  [--seed N] [--out PROFILE.json] [--folded PROFILE_folded.txt]");
+    eprintln!("                  [--quick]");
+    eprintln!("  pristi bench --compare OLD,NEW [--threshold-pct P]");
+    eprintln!("  pristi bench --sweep [--quick] [--seed N] [--out PATH]");
+    eprintln!("  pristi bench --filter <substr> [--quick] [--json]");
+    ExitCode::from(2)
 }
 
 /// `pristi bench --sweep [--quick] [--seed N] [--out PATH]` — train a seeded
@@ -181,40 +135,10 @@ fn run_bench(args: &[String]) -> ExitCode {
 /// the 50-step DDIM reference (see `pristi_bench::sweep`). Writes the CSV to
 /// `--out` (default `results/steps_vs_crps.csv`) and fails when a gated spec
 /// exceeds the pinned CRPS/MAE ratio tolerances.
-fn run_bench_sweep(args: &[String]) -> ExitCode {
-    let mut opts = pristi_bench::SweepOpts::default();
-    let mut out = "results/steps_vs_crps.csv".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sweep" => i += 1,
-            "--quick" => {
-                opts.quick = true;
-                i += 1;
-            }
-            "--seed" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("--seed needs a number");
-                    return ExitCode::from(2);
-                };
-                opts.seed = v;
-                i += 2;
-            }
-            "--out" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                };
-                out = v.clone();
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: pristi bench --sweep [--quick] [--seed N] [--out PATH]");
-                return ExitCode::from(2);
-            }
-        }
-    }
+fn run_bench_sweep(flags: Flags) -> ExitCode {
+    let mut opts = pristi_bench::SweepOpts { quick: flags.contains_key("quick"), ..Default::default() };
+    opts.seed = get_usize(&flags, "seed", opts.seed as usize) as u64;
+    let out = flags.get("out").map_or("results/steps_vs_crps.csv", String::as_str);
     eprintln!(
         "sweep: training T=50 model and scoring solvers ({} mode)...",
         if opts.quick { "quick" } else { "full" }
@@ -227,7 +151,7 @@ fn run_bench_sweep(args: &[String]) -> ExitCode {
         }
     };
     print!("{}", report.render_table());
-    if let Err(e) = std::fs::write(&out, report.to_csv()) {
+    if let Err(e) = std::fs::write(out, report.to_csv()) {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
@@ -245,39 +169,9 @@ fn run_bench_sweep(args: &[String]) -> ExitCode {
 /// cases whose name contains `<substr>` (the same case set and timing loop as
 /// `cargo bench -p pristi-bench`; `--json` rewrites `BENCH_micro.json` with
 /// just the matched entries, so leave it off when iterating on one kernel).
-fn run_bench_filter(args: &[String]) -> ExitCode {
-    let mut filter: Option<String> = None;
-    let mut quick = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--filter" => {
-                let Some(value) = args.get(i + 1).filter(|a| !a.starts_with("--")) else {
-                    eprintln!("--filter needs a substring");
-                    eprintln!("usage: pristi bench --filter <substr> [--quick] [--json]");
-                    return ExitCode::from(2);
-                };
-                filter = Some(value.clone());
-                i += 2;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: pristi bench --compare OLD,NEW [--threshold-pct P]");
-                eprintln!("       pristi bench --filter <substr> [--quick] [--json]");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let mut h = pristi_bench::micro::MicroHarness::new(filter, quick);
+fn run_bench_filter(flags: Flags) -> ExitCode {
+    let (quick, json) = (flags.contains_key("quick"), flags.contains_key("json"));
+    let mut h = pristi_bench::micro::MicroHarness::new(flags.get("filter").cloned(), quick);
     pristi_bench::micro::run_all(&mut h);
     if h.results().is_empty() {
         eprintln!("no bench case matched the filter");
@@ -368,25 +262,78 @@ fn run_bench_compare(args: &[String]) -> ExitCode {
     }
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                out.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-                continue;
-            }
-        }
-        eprintln!("warning: ignoring stray argument `{}`", args[i]);
-        i += 1;
-    }
-    out
+/// Parsed flags of one subcommand: `--key value` pairs, and each switch
+/// present mapped to an empty value.
+pub(crate) type Flags = HashMap<String, String>;
+
+/// The flags one subcommand accepts, without `--`: `numeric` keys take a
+/// non-negative integer, `text` keys any value, `switches` no value.
+pub(crate) struct FlagSpec {
+    pub numeric: &'static [&'static str],
+    pub text: &'static [&'static str],
+    pub switches: &'static [&'static str],
 }
 
-fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+const IMPUTE_FLAGS: FlagSpec = FlagSpec {
+    numeric: &["steps-per-day", "epochs", "samples", "window", "seed", "ddim"],
+    text: &["data", "coords", "out", "sampler", "quantiles"],
+    switches: &[],
+};
+const GENERATE_FLAGS: FlagSpec =
+    FlagSpec { numeric: &["seed"], text: &["kind", "out", "coords-out"], switches: &[] };
+const CKPT_SAVE_FLAGS: FlagSpec = FlagSpec {
+    numeric: &["steps-per-day", "epochs", "window", "seed"],
+    text: &["data", "coords", "out"],
+    switches: &[],
+};
+const CKPT_VERIFY_FLAGS: FlagSpec = FlagSpec { numeric: &[], text: &["ckpt"], switches: &[] };
+const SERVE_FLAGS: FlagSpec = FlagSpec {
+    numeric: &["samples", "deadline-ms", "seed", "workers", "ddim"],
+    text: &["ckpt", "sampler"],
+    switches: &[],
+};
+const STREAM_FLAGS: FlagSpec = FlagSpec {
+    numeric: &["samples", "horizon", "seed", "workers", "ddim"],
+    text: &["ckpt", "sampler"],
+    switches: &["stream"],
+};
+const SWEEP_FLAGS: FlagSpec =
+    FlagSpec { numeric: &["seed"], text: &["out"], switches: &["sweep", "quick"] };
+const FILTER_FLAGS: FlagSpec =
+    FlagSpec { numeric: &[], text: &["filter"], switches: &["quick", "json"] };
+
+/// Parse flags against `spec`. An unknown flag, a flag without a value, a
+/// stray argument or an unparsable number is an error, so a mistyped or
+/// retired flag can never be silently ignored.
+pub(crate) fn parse_flags(args: &[String], spec: &FlagSpec) -> Result<Flags, String> {
+    let mut out = HashMap::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            return Err(format!("unexpected argument `{arg}`"));
+        };
+        if spec.switches.contains(&key) {
+            out.insert(key.to_string(), String::new());
+            continue;
+        }
+        let numeric = spec.numeric.contains(&key);
+        if !numeric && !spec.text.contains(&key) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+        let Some(value) = it.next() else {
+            return Err(format!("flag `{arg}` needs a value"));
+        };
+        if numeric && value.parse::<u64>().is_err() {
+            return Err(format!("flag `{arg}` needs a non-negative integer, got `{value}`"));
+        }
+        out.insert(key.to_string(), value.clone());
+    }
+    Ok(out)
+}
+
+/// A numeric flag's value (already validated by [`parse_flags`]) or `default`.
+pub(crate) fn get_usize(flags: &Flags, key: &str, default: usize) -> usize {
+    flags.get(key).map_or(default, |v| v.parse().expect("parse_flags validated numeric flags"))
 }
 
 /// Resolve the sampler from `--sampler SPEC` (the shared spec grammar:
@@ -394,7 +341,7 @@ fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usiz
 /// `--ddim K` kept as a back-compat alias for `ddim:K`. Neither flag means
 /// `default` (full DDPM for the CLI entry points).
 fn parse_sampler_flags(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     default: Sampler,
 ) -> Result<Sampler, String> {
     match (flags.get("sampler"), flags.get("ddim")) {
@@ -408,7 +355,7 @@ fn parse_sampler_flags(
     }
 }
 
-fn run_generate(flags: HashMap<String, String>) -> ExitCode {
+fn run_generate(flags: Flags) -> ExitCode {
     let kind = flags.get("kind").map(String::as_str).unwrap_or("aqi");
     let out = flags.get("out").map(String::as_str).unwrap_or("panel.csv");
     let coords_out = flags.get("coords-out").map(String::as_str).unwrap_or("coords.csv");
@@ -457,7 +404,7 @@ fn run_generate(flags: HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_impute(flags: HashMap<String, String>) -> ExitCode {
+fn run_impute(flags: Flags) -> ExitCode {
     let Some(data_path) = flags.get("data") else {
         eprintln!("--data <panel.csv> is required");
         return ExitCode::from(2);
@@ -577,7 +524,7 @@ fn run_impute(flags: HashMap<String, String>) -> ExitCode {
 
 /// Train exactly as `pristi impute` would, then persist the model as an
 /// `st-ckpt/1` file instead of imputing.
-fn run_checkpoint_save(flags: HashMap<String, String>) -> ExitCode {
+fn run_checkpoint_save(flags: Flags) -> ExitCode {
     let Some(data_path) = flags.get("data") else {
         eprintln!("--data <panel.csv> is required");
         return ExitCode::from(2);
@@ -641,7 +588,7 @@ fn run_checkpoint_save(flags: HashMap<String, String>) -> ExitCode {
 
 /// Load a checkpoint end to end — header, checksum, config validation, and
 /// full model rebuild — and print what it holds. A valid file exits 0.
-fn run_checkpoint_verify(flags: HashMap<String, String>) -> ExitCode {
+fn run_checkpoint_verify(flags: Flags) -> ExitCode {
     let Some(ckpt_path) = flags.get("ckpt") else {
         eprintln!("--ckpt <model.ckpt> is required");
         return ExitCode::from(2);
@@ -669,27 +616,25 @@ fn run_checkpoint_verify(flags: HashMap<String, String>) -> ExitCode {
     }
 }
 
-/// Serve a checkpoint over a stdin/stdout JSONL loop (one request per line,
-/// one response per line; see the module docs for the wire format).
-fn run_serve(flags: HashMap<String, String>) -> ExitCode {
+/// `pristi serve [--stream]`: load a checkpoint and answer JSONL lines from
+/// stdin on stdout through the shared front end — requests by default,
+/// sliding-window ticks with `--stream` (see [`st_serve::wire`] and
+/// [`st_serve::stream`], and README §Streaming for a quickstart).
+fn run_serve(flags: Flags) -> ExitCode {
     let Some(ckpt_path) = flags.get("ckpt") else {
         eprintln!("--ckpt <model.ckpt> is required");
         return ExitCode::from(2);
     };
-    let default_samples = get_usize(&flags, "samples", 8);
-    let default_sampler = match parse_sampler_flags(&flags, Sampler::Ddpm) {
+    let stream = flags.contains_key("stream");
+    // Streaming revises gaps every tick, so its default solver is the
+    // few-step `pndm:4` rather than full DDPM.
+    let default = if stream { Sampler::Pndm { steps: 4, order: 4 } } else { Sampler::Ddpm };
+    let sampler = match parse_sampler_flags(&flags, default) {
         Ok(s) => s,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);
         }
-    };
-    let cfg = ServeConfig {
-        max_batch_samples: get_usize(&flags, "batch", 32),
-        workers: get_usize(&flags, "workers", 1),
-        default_deadline: Duration::from_millis(get_usize(&flags, "deadline-ms", 30_000) as u64),
-        base_seed: get_usize(&flags, "seed", 0) as u64,
-        ..Default::default()
     };
     let trained = match load_checkpoint(Path::new(ckpt_path)) {
         Ok(t) => t,
@@ -699,234 +644,50 @@ fn run_serve(flags: HashMap<String, String>) -> ExitCode {
         }
     };
     let (n_nodes, window_len) = (trained.model.n_nodes(), trained.model.window_len());
-    let service = match ImputeService::start(trained, cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to start service: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "serving {ckpt_path} ({n_nodes} sensors, window {window_len}); \
-         reading JSONL requests from stdin"
-    );
-
+    let samples = get_usize(&flags, "samples", 8);
+    let (seed, workers) = (get_usize(&flags, "seed", 0) as u64, get_usize(&flags, "workers", 1));
     let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    let mut line_no = 0u64;
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
+    let served = if stream {
+        let horizon = get_usize(&flags, "horizon", 4);
+        let session = StreamConfig { n_samples: samples, sampler, horizon, base_seed: seed };
+        eprintln!(
+            "streaming {ckpt_path} ({n_nodes} sensors, window {window_len}, horizon {horizon}, \
+             sampler {sampler}); reading JSONL ticks from stdin"
+        );
+        let cfg = StreamServerConfig { session, workers };
+        run_stream(std::sync::Arc::new(trained), &cfg, stdin.lock(), std::io::stdout()).map(|s| {
+            eprintln!(
+                "stream closed: {} ok ({} imputed, {} skipped), {} errors",
+                s.ok, s.imputes, s.skips, s.errors
+            );
+        })
+    } else {
+        let cfg = ServeConfig {
+            workers,
+            default_deadline: Duration::from_millis(get_usize(&flags, "deadline-ms", 30_000) as u64),
+            base_seed: seed,
+            ..Default::default()
+        };
+        let service = match ImputeService::start(trained, cfg) {
+            Ok(s) => s,
             Err(e) => {
-                eprintln!("stdin read failed: {e}");
+                eprintln!("failed to start service: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        line_no += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(&line, default_samples, default_sampler) {
-            Ok(req) => {
-                let id = req.id;
-                match service.submit(req) {
-                    Ok(res) => {
-                        let med = res.median();
-                        let q05 = res.quantile(0.05);
-                        let q95 = res.quantile(0.95);
-                        format!(
-                            "{{\"id\":{id},\"ok\":true,\"median\":{},\"q05\":{},\"q95\":{}}}",
-                            grid_json(&med),
-                            grid_json(&q05),
-                            grid_json(&q95)
-                        )
-                    }
-                    Err(e) => error_line(Some(id), e.kind(), &e.to_string(), line_no),
-                }
-            }
-            Err((id, kind, detail)) => error_line(id, kind, &detail, line_no),
-        };
-        // Piped stdout is block-buffered; a serving loop must flush per line
-        // or clients waiting on a response deadlock.
-        if writeln!(stdout, "{response}").and_then(|()| stdout.flush()).is_err() {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `pristi serve --stream`: a sliding-window streaming loop over stdin
-/// JSONL ticks (see [`st_serve::stream`] for the wire format and the
-/// incremental-prior design, and README §Streaming for a quickstart).
-fn run_serve_stream(flags: HashMap<String, String>) -> ExitCode {
-    let Some(ckpt_path) = flags.get("ckpt") else {
-        eprintln!("--ckpt <model.ckpt> is required");
-        return ExitCode::from(2);
+        eprintln!(
+            "serving {ckpt_path} ({n_nodes} sensors, window {window_len}); \
+             reading JSONL requests from stdin"
+        );
+        run_requests(&service, samples, sampler, stdin.lock(), std::io::stdout())
     };
-    // Streaming revises gaps every tick, so the default solver is the
-    // few-step `pndm:4` rather than full DDPM.
-    let default_sampler = match parse_sampler_flags(&flags, Sampler::Pndm { steps: 4, order: 4 }) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = StreamServerConfig {
-        session: StreamConfig {
-            n_samples: get_usize(&flags, "samples", 8),
-            sampler: default_sampler,
-            horizon: get_usize(&flags, "horizon", 4),
-            base_seed: get_usize(&flags, "seed", 0) as u64,
-        },
-        workers: get_usize(&flags, "workers", 1),
-    };
-    let trained = match load_checkpoint(Path::new(ckpt_path)) {
-        Ok(t) => t,
+    match served {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("failed to load checkpoint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (n_nodes, window_len) = (trained.model.n_nodes(), trained.model.window_len());
-    eprintln!(
-        "streaming {ckpt_path} ({n_nodes} sensors, window {window_len}, horizon {}, \
-         sampler {default_sampler}); reading JSONL ticks from stdin",
-        cfg.session.horizon
-    );
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout().lock();
-    match run_stream(std::sync::Arc::new(trained), &cfg, stdin.lock(), stdout) {
-        Ok(summary) => {
-            eprintln!(
-                "stream closed: {} ok ({} imputed, {} skipped), {} errors",
-                summary.ok, summary.imputes, summary.skips, summary.errors
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("stream I/O failed: {e}");
+            eprintln!("serve I/O failed: {e}");
             ExitCode::FAILURE
         }
     }
-}
-
-/// Parse one JSONL request line into an [`ImputeRequest`]. `null` cells are
-/// missing; everything shape-related is left to the service's validation.
-///
-/// The sampler comes from the `"sampler"` spec string (shared grammar, e.g.
-/// `"pndm:6"`), with the pre-spec `"ddim_steps"` integer field kept as an
-/// alias for `ddim:K`; with neither the serve-level default applies.
-///
-/// A failure carries the request id whenever it parsed, in the same
-/// `(id, kind, detail)` shape as the stream mode's tick parser.
-fn parse_request(
-    line: &str,
-    default_samples: usize,
-    default_sampler: Sampler,
-) -> Result<ImputeRequest, ParseFailure> {
-    let req = json::parse(line).map_err(|e| (None, "bad_json", format!("bad JSON: {e}")))?;
-    let id = req.get("id").and_then(Json::as_u64).ok_or_else(|| {
-        (None, "bad_request", "request needs a numeric \"id\"".to_string())
-    })?;
-    parse_request_body(&req, id, default_samples, default_sampler)
-        .map_err(|detail| (Some(id), "bad_request", detail))
-}
-
-fn parse_request_body(
-    req: &Json,
-    id: u64,
-    default_samples: usize,
-    default_sampler: Sampler,
-) -> Result<ImputeRequest, String> {
-    let rows = req
-        .get("values")
-        .and_then(Json::as_arr)
-        .ok_or("request needs a \"values\" array of sensor rows")?;
-    let n = rows.len();
-    let l = rows
-        .first()
-        .and_then(|r| r.as_arr())
-        .ok_or("\"values\" rows must be arrays")?
-        .len();
-    let mut values = NdArray::zeros(&[n, l]);
-    let mut observed = NdArray::zeros(&[n, l]);
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row.as_arr().ok_or("\"values\" rows must be arrays")?;
-        if cells.len() != l {
-            return Err(format!(
-                "ragged \"values\": row 0 has {l} cells, row {i} has {}",
-                cells.len()
-            ));
-        }
-        for (li, cell) in cells.iter().enumerate() {
-            if let Some(v) = parse_cell(cell).map_err(|e| format!("cell [{i}][{li}] {e}"))? {
-                values.data_mut()[i * l + li] = v;
-                observed.data_mut()[i * l + li] = 1.0;
-            }
-        }
-    }
-    let n_samples = req
-        .get("n_samples")
-        .and_then(Json::as_u64)
-        .map_or(default_samples, |v| v as usize);
-    let sampler = match (req.get("sampler"), req.get("ddim_steps")) {
-        (Some(_), Some(_)) => {
-            return Err("\"sampler\" and \"ddim_steps\" are mutually exclusive".into())
-        }
-        (Some(spec), None) => {
-            let spec = spec.as_str().ok_or("\"sampler\" must be a spec string")?;
-            spec.parse::<Sampler>().map_err(|e| e.to_string())?
-        }
-        (None, Some(steps)) => {
-            let steps = steps.as_u64().ok_or("\"ddim_steps\" must be a non-negative integer")?;
-            Sampler::Ddim { steps: steps as usize, eta: 0.0 }
-        }
-        (None, None) => default_sampler,
-    };
-    let tier = match req.get("tier").and_then(Json::as_str) {
-        None | Some("interactive") => AdmissionTier::Interactive,
-        Some("best_effort") => AdmissionTier::BestEffort,
-        Some(other) => {
-            return Err(format!(
-                "unknown \"tier\" `{other}` (expected \"interactive\" or \"best_effort\")"
-            ))
-        }
-    };
-    Ok(ImputeRequest {
-        id,
-        window: Window { values, observed, eval: NdArray::zeros(&[n, l]), t_start: 0 },
-        n_samples,
-        sampler,
-        tier,
-        deadline: None,
-    })
-}
-
-/// Render a `[N, L]` array as nested JSON arrays (rows = sensors).
-fn grid_json(a: &NdArray) -> String {
-    let (n, l) = (a.shape()[0], a.shape()[1]);
-    let mut out = String::from("[");
-    for i in 0..n {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for li in 0..l {
-            if li > 0 {
-                out.push(',');
-            }
-            let v = a.data()[i * l + li];
-            if v.is_finite() {
-                out.push_str(&format!("{v}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        out.push(']');
-    }
-    out.push(']');
-    out
 }
 
 fn write_window(panel: &mut NdArray, mask: &NdArray, win: &NdArray, t0: usize, n: usize, l: usize) {
@@ -955,6 +716,7 @@ fn panel_sensor_names(path: &str, n: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_serve::{parse_request, ParseFailure};
 
     fn failure(line: &str) -> ParseFailure {
         match parse_request(line, 8, Sampler::Ddpm) {
@@ -974,5 +736,29 @@ mod tests {
         assert!(detail.contains("cell [0][0]"), "{detail}");
         let ok = parse_request("{\"id\":9,\"values\":[[1.0,null]]}", 8, Sampler::Ddpm).unwrap();
         assert_eq!(ok.id, 9);
+    }
+
+    fn flags(args: &[&str], spec: &FlagSpec) -> Result<Flags, String> {
+        parse_flags(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>(), spec)
+    }
+
+    #[test]
+    fn unknown_flags_and_unparsable_numbers_are_usage_errors() {
+        let ok = flags(&["--workers", "2", "--ckpt", "m.ckpt", "--sampler", "pndm:4"], &SERVE_FLAGS);
+        let ok = ok.unwrap();
+        assert_eq!(get_usize(&ok, "workers", 1), 2);
+        assert_eq!(get_usize(&ok, "samples", 8), 8, "absent flags take the default");
+        for bad in [
+            &["--workers", "two"][..],
+            &["--batch", "4"],
+            &["--workers", "2", "--batch", "x"],
+            &["--samples", "-1"],
+            &["--ckpt"],
+            &["stray"],
+        ] {
+            assert!(flags(bad, &SERVE_FLAGS).is_err(), "{bad:?} must be rejected");
+        }
+        assert!(flags(&["--horizon", "4"], &STREAM_FLAGS).is_ok());
+        assert!(flags(&["--horizon", "4"], &SERVE_FLAGS).is_err(), "--horizon is stream-only");
     }
 }

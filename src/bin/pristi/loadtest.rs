@@ -18,7 +18,7 @@
 //!   times out). All phases share one schedule, so their checksums must agree.
 //! * `mixed_solver_w{N}` — the same closed loop, but each request draws one
 //!   of the four solver specs (`ddpm`, `ddim:4`, `pndm:4`, `refine:3`) from
-//!   the seeded schedule, exercising same-spec batch coalescing; the
+//!   the seeded schedule, so workers interleave solver families; the
 //!   order-independent checksum must agree across worker counts.
 //! * `shed_storm` — `shed_threshold: 0` with all-best-effort clients: every
 //!   request is deterministically shed by admission control.
@@ -143,8 +143,8 @@ pub fn run(args: &[String]) -> ExitCode {
         .map(|&w| (format!("closed_loop_w{w}"), w, PhaseKind::ClosedLoop))
         .collect();
     // Mixed-solver phases: the same seeded schedule, but each request picks
-    // one of the four solver specs — so same-sampler coalescing runs, and the
-    // checksum must still be worker-count invariant.
+    // one of the four solver specs — so workers interleave solver families,
+    // and the checksum must still be worker-count invariant.
     phases.extend(
         opts.workers
             .iter()
@@ -194,8 +194,8 @@ pub fn run(args: &[String]) -> ExitCode {
 
     // Cross-phase invariant (the tentpole): worker count is bitwise
     // invisible, so within each phase family every checksum must match —
-    // including the mixed-solver family, where same-spec coalescing decides
-    // which requests share a batch.
+    // including the mixed-solver family, where the worker count decides
+    // which solver families run side by side.
     for family in ["closed_loop_", "mixed_solver_", "stream_"] {
         let group: Vec<&ServeEntry> =
             entries.iter().filter(|e| e.name.starts_with(family)).collect();
@@ -223,52 +223,31 @@ pub fn run(args: &[String]) -> ExitCode {
 }
 
 fn parse_opts(args: &[String]) -> Result<LoadtestOpts, String> {
-    let mut opts = LoadtestOpts {
-        seed: 7,
-        clients: 0, // resolved after --quick is known
-        requests_per_client: 0,
-        workers: vec![1, 4],
-        out: "BENCH_serve.json".into(),
-        ckpt: None,
-        quick: false,
-        stream: false,
+    let spec = crate::FlagSpec {
+        numeric: &["seed", "clients", "requests"],
+        text: &["workers", "out", "ckpt"],
+        switches: &["quick", "stream"],
     };
-    let (mut clients, mut requests) = (None, None);
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].strip_prefix("--").ok_or_else(|| format!("unexpected argument `{}`", args[i]))?;
-        if key == "quick" {
-            opts.quick = true;
-            i += 1;
-            continue;
-        }
-        if key == "stream" {
-            opts.stream = true;
-            i += 1;
-            continue;
-        }
-        let value = args.get(i + 1).ok_or_else(|| format!("--{key} needs a value"))?;
-        match key {
-            "seed" => opts.seed = value.parse().map_err(|_| format!("bad --seed `{value}`"))?,
-            "clients" => clients = Some(value.parse().map_err(|_| format!("bad --clients `{value}`"))?),
-            "requests" => requests = Some(value.parse().map_err(|_| format!("bad --requests `{value}`"))?),
-            "workers" => {
-                opts.workers = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<usize>().map_err(|_| format!("bad --workers `{value}`")))
-                    .collect::<Result<_, _>>()?;
-                if opts.workers.is_empty() || opts.workers.contains(&0) {
-                    return Err(format!("bad --workers `{value}` (need positive counts)"));
-                }
-            }
-            "out" => opts.out = value.clone(),
-            "ckpt" => opts.ckpt = Some(value.clone()),
-            other => return Err(format!("unknown flag --{other}")),
-        }
-        i += 2;
-    }
-    opts.clients = clients.unwrap_or(if opts.quick { 2 } else { 4 });
-    opts.requests_per_client = requests.unwrap_or(if opts.quick { 3 } else { 12 });
+    let flags = crate::parse_flags(args, &spec)?;
+    let quick = flags.contains_key("quick");
+    let workers = match flags.get("workers") {
+        None => vec![1, 4],
+        Some(value) => value
+            .split(',')
+            .map(|v| v.trim().parse::<usize>().ok().filter(|&w| w > 0))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| format!("bad --workers `{value}` (need positive counts)"))?,
+    };
+    let opts = LoadtestOpts {
+        seed: crate::get_usize(&flags, "seed", 7) as u64,
+        clients: crate::get_usize(&flags, "clients", if quick { 2 } else { 4 }),
+        requests_per_client: crate::get_usize(&flags, "requests", if quick { 3 } else { 12 }),
+        workers,
+        out: flags.get("out").map_or("BENCH_serve.json", String::as_str).to_string(),
+        ckpt: flags.get("ckpt").cloned(),
+        quick,
+        stream: flags.contains_key("stream"),
+    };
     if opts.clients == 0 || opts.requests_per_client == 0 {
         return Err("--clients and --requests must be positive".into());
     }
@@ -357,7 +336,6 @@ fn run_phase(
         queue_capacity: opts.clients * 2 + 8,
         shed_threshold: if kind == PhaseKind::ShedStorm { 0 } else { opts.clients * 2 + 8 },
         workers,
-        max_batch_samples: 16,
         base_seed: opts.seed,
         ..Default::default()
     };
@@ -493,7 +471,7 @@ fn synth_tick_log(seed: u64, sessions: usize, ticks: usize, n_nodes: usize) -> S
 
 /// Run one `stream_w{N}` phase: drive the JSONL streaming engine over the
 /// in-memory tick log, checksum the response bytes. Per-line latencies are
-/// not observable through the batch driver, so only wall time and RPS land
+/// not observable through an in-memory log, so only wall time and RPS land
 /// in the (stripped) timing object.
 fn run_stream_phase(
     name: &str,

@@ -9,8 +9,8 @@
 //!    on that case;
 //! 3. cached imputation — `pristi_core::impute` end to end (prior cache,
 //!    denoise steps, denormalise/merge);
-//! 4. a serve batch — sequential requests through a one-worker
-//!    [`st_serve::ImputeService`], so request/batch trace ids and the
+//! 4. a serve phase — sequential requests through a one-worker
+//!    [`st_serve::ImputeService`], so request trace ids and the
 //!    `serve_batch` span tree are exercised.
 //!
 //! After the workload, a **scaling scan** re-runs the forward case pinned to
@@ -218,7 +218,6 @@ pub fn run(args: &[String]) -> ExitCode {
         eprintln!("phase serve_batch: {} requests...", w.serve_requests);
         let serve_cfg = ServeConfig {
             workers: 1,
-            max_batch_samples: 16,
             base_seed: opts.seed,
             ..Default::default()
         };
@@ -292,32 +291,15 @@ pub fn run(args: &[String]) -> ExitCode {
 }
 
 fn parse_opts(args: &[String]) -> Result<ProfileOpts, String> {
-    let mut opts = ProfileOpts {
-        seed: 7,
-        quick: false,
-        out: "PROFILE.json".into(),
-        folded: "PROFILE_folded.txt".into(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("unexpected argument `{}`", args[i]))?;
-        if key == "quick" {
-            opts.quick = true;
-            i += 1;
-            continue;
-        }
-        let value = args.get(i + 1).ok_or_else(|| format!("--{key} needs a value"))?;
-        match key {
-            "seed" => opts.seed = value.parse().map_err(|_| format!("bad --seed `{value}`"))?,
-            "out" => opts.out = value.clone(),
-            "folded" => opts.folded = value.clone(),
-            other => return Err(format!("unknown flag --{other}")),
-        }
-        i += 2;
-    }
-    Ok(opts)
+    let spec = crate::FlagSpec { numeric: &["seed"], text: &["out", "folded"], switches: &["quick"] };
+    let flags = crate::parse_flags(args, &spec)?;
+    let text = |key: &str, default: &str| flags.get(key).map_or(default, String::as_str).to_string();
+    Ok(ProfileOpts {
+        seed: crate::get_usize(&flags, "seed", 7) as u64,
+        quick: flags.contains_key("quick"),
+        out: text("out", "PROFILE.json"),
+        folded: text("folded", "PROFILE_folded.txt"),
+    })
 }
 
 /// Everything the report emits, pre-aggregated from the event stream.
