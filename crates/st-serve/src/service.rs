@@ -372,6 +372,11 @@ impl ImputeService {
         Ok(rx)
     }
 
+    /// Size of the worker pool.
+    pub(crate) fn workers(&self) -> usize {
+        self.shared.cfg.workers
+    }
+
     /// Cells of one request window (`N × L` of the served model).
     pub(crate) fn cells(&self) -> usize {
         self.shared.n_nodes * self.shared.window_len

@@ -11,7 +11,9 @@
 //!   (malformed input) or a receiver for an answer still being computed;
 //! * tickets pass through a bounded channel of [`PIPELINE_DEPTH`] slots, so
 //!   a flood blocks the reader (pipe backpressure) instead of growing
-//!   memory, and the front end never fills the service queue by itself;
+//!   memory; request mode also admits at most one unanswered request per
+//!   service worker, so the front end never queues a request behind its own
+//!   earlier lines, where the wait would count against its deadline;
 //! * one writer thread waits on the tickets in input order and writes and
 //!   flushes each answer as soon as it is ready, so an interactive client
 //!   gets line `k`'s answer before it has to send line `k+1`.
@@ -49,9 +51,9 @@ use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::sync::mpsc;
 
-/// Tickets the reader may run ahead of the writer. Kept below
-/// [`ServeConfig::default`](crate::ServeConfig)'s `queue_capacity` (64), so
-/// a pipelined client alone can never make the service answer `queue_full`.
+/// Tickets the reader may run ahead of the writer; bounds the memory a
+/// flood can pin. Request mode also admits at most one unanswered request
+/// per service worker (see [`run_requests`]).
 pub const PIPELINE_DEPTH: usize = 32;
 
 /// The longest line accepted for a payload of `cells` cells: 32 bytes per
@@ -62,7 +64,7 @@ pub(crate) fn max_line_bytes(cells: usize) -> usize {
 
 /// One input line's place in the output order.
 pub(crate) enum Ticket<P> {
-    /// An answer known at read time (parse failures, rejected admissions).
+    /// An answer known at read time (malformed lines).
     Ready(String),
     /// A handle on an answer still being computed.
     Pending(P),
@@ -170,24 +172,27 @@ pub fn run_requests<R: BufRead, W: Write + Send>(
     input: R,
     output: W,
 ) -> io::Result<()> {
+    // One permit per request admitted and not yet answered, at most one per
+    // worker: each admitted request finds a free worker, so no request
+    // spends its deadline queued behind this client's own earlier lines.
+    let (permit, returned) = mpsc::sync_channel::<()>(service.workers());
     pipeline(
         input,
         output,
         max_line_bytes(service.cells()),
         |line_no, line| match parse_request(line, default_samples, default_sampler) {
             Err((id, kind, detail)) => Ticket::Ready(error_line(id, kind, &detail, line_no)),
-            Ok(req) => {
-                let id = req.id;
-                match service.enqueue(req) {
-                    Ok(rx) => Ticket::Pending((id, rx)),
-                    Err(e) => Ticket::Ready(error_line(Some(id), e.kind(), &e.to_string(), line_no)),
-                }
-            }
+            Ok(req) => match permit.send(()) {
+                Ok(()) => Ticket::Pending((req.id, service.enqueue(req))),
+                // The writer has gone; its error ends the loop.
+                Err(_) => Ticket::Ready(String::new()),
+            },
         },
-        |line_no, t| match t {
+        move |line_no, t| match t {
             Ticket::Ready(line) => line,
-            Ticket::Pending((id, rx)) => {
-                let outcome = rx.recv().unwrap_or(Err(PristiError::ServiceStopped));
+            Ticket::Pending((id, admitted)) => {
+                let outcome = admitted.and_then(|rx| rx.recv().unwrap_or(Err(PristiError::ServiceStopped)));
+                let _ = returned.recv();
                 request_answer(id, outcome, line_no)
             }
         },

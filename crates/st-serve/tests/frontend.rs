@@ -6,7 +6,10 @@
 //! * a flood against a blocked writer pulls at most [`PIPELINE_DEPTH`] plus
 //!   a small constant of lines, and once released every line gets exactly
 //!   one answer, in input order, malformed lines included;
-//! * a failing output ends the loop with `Err` instead of hanging.
+//! * a failing output ends the loop with `Err` instead of hanging;
+//! * a piped request file longer than the deadline allows is answered in
+//!   full: the front end never queues a request behind its own earlier
+//!   lines, so no deadline runs out while a request waits its turn.
 
 use pristi_core::train::{train, TrainConfig};
 use pristi_core::{PristiConfig, Sampler, TrainedModel};
@@ -77,7 +80,7 @@ const MODES: [Mode; 2] = [Mode::Requests, Mode::Stream];
 fn lines(mode: Mode, data: &SpatioTemporalDataset, count: usize, bad_every: usize) -> Vec<String> {
     (1..=count)
         .map(|k| {
-            if k % bad_every == 0 {
+            if k.is_multiple_of(bad_every) {
                 return format!("not json {k}");
             }
             match mode {
@@ -144,7 +147,7 @@ fn check_answers(mode: Mode, out: &str, count: usize, bad_every: usize) {
         let k = i as u64 + 1;
         let v = json::parse(line).unwrap_or_else(|e| panic!("{mode:?}: answer {k} is not JSON: {e}"));
         let ok = v.get("ok") == Some(&Json::Bool(true));
-        if k as usize % bad_every == 0 {
+        if (k as usize).is_multiple_of(bad_every) {
             assert!(!ok && line.contains("\"kind\":\"bad_json\""), "{mode:?} line {k}: {line}");
             assert!(line.ends_with(&format!("\"line\":{k}}}}}")), "{mode:?} line {k}: {line}");
         } else {
@@ -339,4 +342,23 @@ fn failing_output_ends_the_loop_with_an_error() {
         let err = res.expect_err("a failing output must end the loop with Err");
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{mode:?}");
     }
+}
+
+#[test]
+fn piped_requests_do_not_wait_out_their_deadline_behind_earlier_lines() {
+    let (data, trained) = trained_setup();
+    // Each request costs at least 60 ms on one worker; 16 of them, read at
+    // once, would queue ~0.9 s behind each other against a 250 ms deadline.
+    let count = 16;
+    let cfg = ServeConfig {
+        default_deadline: Duration::from_millis(250),
+        fault_hook: Some(Arc::new(|_| std::thread::sleep(Duration::from_millis(60)))),
+        ..ServeConfig::default()
+    };
+    let service = ImputeService::start(trained, cfg).unwrap();
+    let input = lines(Mode::Requests, &data, count, count + 1).join("\n") + "\n";
+    let mut out = Vec::new();
+    run_requests(&service, 1, Sampler::Ddim { steps: 2, eta: 0.0 }, input.as_bytes(), &mut out)
+        .unwrap();
+    check_answers(Mode::Requests, &String::from_utf8(out).unwrap(), count, count + 1);
 }
