@@ -271,20 +271,17 @@ fn bench_prior_cache(h: &mut MicroHarness) {
     let model = pristi_core::PristiModel::new(cfg, &graph, 24, &mut rng).unwrap();
     let schedule = DiffusionSchedule::pristi_default(50);
     let noisy = NdArray::randn(&[8, 36, 24], &mut rng);
-    // One request, 8 ensemble samples: the cache is built from the [1, N, L]
-    // deduplicated conditional, the uncached reference sees it replicated.
-    let cond_r = NdArray::randn(&[1, 36, 24], &mut rng);
-    let mut cond_b = NdArray::zeros(&[8, 36, 24]);
-    for s in 0..8 {
-        cond_b.data_mut()[s * 36 * 24..(s + 1) * 36 * 24].copy_from_slice(cond_r.data());
-    }
+    // One window, 8 ensemble samples: the cache is built from the [N, L]
+    // conditional, the uncached reference sees it replicated.
+    let cond = NdArray::randn(&[36, 24], &mut rng);
+    let cond_b = NdArray::from_vec(&[8, 36, 24], cond.data().repeat(8));
 
     h.bench("p_sample_step_uncached_8x36x24", || {
         let eps = model.predict_eps_eval(&noisy, &cond_b, 25);
         black_box(p_sample_step(&noisy, &eps, &schedule, 25, &mut rng));
     });
 
-    let cache = model.build_prior_cache(&cond_r, &[8]);
+    let cache = model.build_prior_cache(&cond, 8);
     h.bench("p_sample_step_cached_8x36x24", || {
         let eps = model.predict_eps_eval_cached(&cache, &noisy, 25);
         black_box(p_sample_step(&noisy, &eps, &schedule, 25, &mut rng));
@@ -320,13 +317,11 @@ fn bench_quantile_cache(h: &mut MicroHarness) {
     });
 }
 
-/// The library batch engine vs one-at-a-time imputation: the same four
-/// 2-sample requests run as one `impute_batch` call (one
-/// `predict_eps_eval_cached` per denoise step for all of them) and as four
-/// serial `impute` calls. Same RNG streams, bitwise-identical outputs — the
-/// delta is pure batching throughput of `pristi_core::impute_batch`. (The
-/// names keep their `serve_` prefix for baseline continuity; `ImputeService`
-/// itself serves one request per worker turn and does not batch.)
+/// Four 2-sample requests imputed end to end, one reverse pass each:
+/// `serve_serial_4req_x2samples` calls `impute` per request, the
+/// `impute_*_4req_x2samples` entries run the same four requests through one
+/// `impute_batch` call per solver (four solo passes, same RNG streams). The
+/// names keep their prefixes for baseline continuity.
 fn bench_serve_batching(h: &mut MicroHarness) {
     use pristi_core::train::{train, TrainConfig};
     use pristi_core::{impute, impute_batch, BatchItem, ImputeOptions, Sampler};
@@ -380,19 +375,14 @@ fn bench_serve_batching(h: &mut MicroHarness) {
             })
             .collect()
     };
-    h.bench("serve_batched_4req_x2samples", || {
-        let mut items = make_items();
-        black_box(impute_batch(&trained, &mut items, opts.sampler).expect("bench batch is valid"));
-    });
-
-    // The same DDPM batch under the name the prior-cache comparisons use;
-    // the uncached per-step cost lives on in `p_sample_step_uncached_8x36x24`.
+    // The DDPM passes under the name the prior-cache comparisons use; the
+    // uncached per-step cost lives on in `p_sample_step_uncached_8x36x24`.
     h.bench("impute_cached_4req_x2samples", || {
         let mut items = make_items();
         black_box(impute_batch(&trained, &mut items, opts.sampler).expect("bench batch is valid"));
     });
 
-    // Per-solver few-step entries on the same coalesced batch, specs via the
+    // Per-solver few-step entries on the same four requests, specs via the
     // shared parser. Against the DDPM entry above (8 network evaluations on
     // this tiny schedule) these measure what few-step solvers buy end to end;
     // the steps-vs-CRPS sweep (`pristi bench --sweep`) covers accuracy.

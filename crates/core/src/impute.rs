@@ -7,34 +7,31 @@
 //! (evaluated by MAE/MSE) and the quantiles feed CRPS and the Fig. 6
 //! uncertainty bands.
 //!
-//! # The batched engine and RNG streams
+//! # One window per reverse pass
 //!
-//! Three entry points share one reverse path. [`impute`] is a thin wrapper
-//! over [`impute_batch`], which coalesces any number of *requests* — each a
-//! window with its own sample count and its own RNG stream — into one
-//! `[S_total, N, L]` reverse pass; [`impute_prepared`] feeds the same pass a
-//! caller-prepared window and, optionally, a caller-held [`PriorCache`].
-//! Requests are validated in one place before any window is prepared or any
-//! random number drawn. The pass builds one [`PriorCache`] per batch (PriSTI's
-//! conditional prior depends only on the interpolated conditional, so caching
-//! it is exact), then runs a single `predict_eps_eval_cached` per denoise step
-//! for the whole batch. Every random draw (initial noise, per-step reverse
-//! noise) comes from the owning request's stream, sliced per request, and
-//! every deterministic update is element-wise,
-//! so a request's samples are **bitwise identical** no matter which other
-//! requests share its batch. This is the property the `st-serve` micro-batching
-//! service builds on; `crates/st-serve/tests/service.rs` pins it under
-//! concurrent load, and `crates/core/tests/prior_cache.rs` pins the cached
-//! pass against an uncached per-step reference chain.
+//! The unit of inference is one window and its ensemble: PriSTI's prior
+//! `H^pri` is built from one window's interpolated conditional. Every entry
+//! point validates its options before preparing a window or drawing a random
+//! number, then runs the same reverse pass over an `[S, N, L]` ensemble
+//! tensor. [`impute`] prepares the window itself; [`impute_prepared`] takes a
+//! caller-prepared window and, optionally, a caller-held [`PriorCache`];
+//! [`impute_batch`] validates and prepares every item first, then runs one
+//! pass per item in order. The pass builds the window's [`PriorCache`] once
+//! (the prior depends only on the conditional, so caching it is exact) and
+//! runs one `predict_eps_eval_cached` per denoise step. All randomness — the
+//! chain head and each step's reverse noise — comes from the one RNG stream
+//! the caller passed, in a fixed order, so the same stream state reproduces
+//! the same samples bit for bit. `crates/core/tests/prior_cache.rs` pins the
+//! cached pass against an uncached per-step reference chain.
 //!
 //! # Solvers
 //!
 //! The reverse loop is generic over
 //! [`st_diffusion::process::GenerativeProcess`]: the [`Sampler`] spec picks a
 //! solver, the solver owns the schedule walk and the deterministic update,
-//! and this driver owns the batch tensor, the network evaluations, and every
-//! random draw. See `crates/core/src/sampler.rs` for the spec surface and
-//! DESIGN.md §15 for the contract.
+//! and this driver owns the ensemble tensor, the network evaluations, and
+//! every random draw. See `crates/core/src/sampler.rs` for the spec surface
+//! and DESIGN.md §15 for the contract.
 
 use crate::error::{PristiError, Result};
 use crate::model::PriorCache;
@@ -64,10 +61,23 @@ impl Default for ImputeOptions {
     }
 }
 
-/// Per-request conditioning, precomputed once: normalised values, masks and
+impl ImputeOptions {
+    /// The one options check every entry point (and every serving setting)
+    /// runs before preparing a window or drawing a random number: at least
+    /// one sample and a non-degenerate sampler spec, else
+    /// [`PristiError::DegenerateConfig`].
+    pub fn validate(&self) -> Result<()> {
+        if self.n_samples < 1 {
+            return Err(PristiError::DegenerateConfig("need at least one ensemble sample".into()));
+        }
+        self.sampler.validate()
+    }
+}
+
+/// Per-window conditioning, precomputed once: normalised values, masks and
 /// the interpolated conditional `𝒳`.
 ///
-/// [`impute_batch`] builds these internally per request; streaming callers
+/// [`impute`] and [`impute_batch`] build these internally; streaming callers
 /// build one *incrementally* (maintaining `values_z` and the interpolation
 /// across window shifts, see `st-serve`'s `StreamSession`) and hand it to
 /// [`impute_prepared`], skipping the per-tick `cond_prep` stage entirely.
@@ -168,24 +178,11 @@ impl PreparedWindow {
     /// keep the returned cache across ticks while the window content is
     /// unchanged and pass it to [`impute_prepared`].
     pub fn build_prior(&self, trained: &TrainedModel, n_samples: usize) -> PriorCache {
-        batch_prior(trained, std::slice::from_ref(self), &[n_samples])
+        trained.model.build_prior_cache(&self.cond, n_samples)
     }
 }
 
-/// The prior cache for a batch: stack each request's conditional once
-/// (`[R, N, L]`, deduplicated — not per sample) and let
-/// [`crate::model::PristiModel::build_prior_cache`] replicate it to
-/// `Σ counts` rows.
-fn batch_prior(trained: &TrainedModel, preps: &[PreparedWindow], counts: &[usize]) -> PriorCache {
-    let (n, l) = (trained.model.n_nodes(), trained.model.window_len());
-    let mut cond_r = NdArray::zeros(&[preps.len(), n, l]);
-    for (i, prep) in preps.iter().enumerate() {
-        cond_r.data_mut()[i * n * l..(i + 1) * n * l].copy_from_slice(prep.cond.data());
-    }
-    trained.model.build_prior_cache(&cond_r, counts)
-}
-
-/// One request of a batched reverse pass: a window, how many ensemble samples
+/// One item of an [`impute_batch`] call: a window, how many ensemble samples
 /// it wants, and the RNG stream that owns *all* of its randomness.
 pub struct BatchItem<'a> {
     /// The window to impute.
@@ -285,7 +282,7 @@ impl ImputationResult {
 }
 
 /// Impute one window with a trained model, generating `opts.n_samples`
-/// posterior samples in a single batched reverse pass.
+/// posterior samples in a single reverse pass.
 ///
 /// Returns [`PristiError::ShapeMismatch`] when the window disagrees with the
 /// model's node count / window length and
@@ -344,47 +341,43 @@ pub fn impute(
     opts: &ImputeOptions,
     rng: &mut StdRng,
 ) -> Result<ImputationResult> {
-    let mut items = [BatchItem {
-        window,
-        n_samples: opts.n_samples,
-        rng: StdRng::from_state(rng.state()),
-    }];
-    let mut results = impute_batch(trained, &mut items, opts.sampler)?;
-    // Hand the advanced stream back so a caller imputing several windows off
-    // one RNG keeps the pre-redesign draw sequence.
-    *rng = StdRng::from_state(items[0].rng.state());
-    Ok(results.pop().expect("one request in, one result out"))
+    opts.validate()?;
+    let prep = prepare_traced(trained, window)?;
+    Ok(run_reverse(trained, &prep, opts, rng, None))
 }
 
-/// Impute a coalesced batch of requests in one `[S_total, N, L]` reverse
-/// pass: a single `predict_eps_eval_cached` per denoise step for the whole batch,
-/// with each request's randomness drawn from its own [`BatchItem::rng`].
+/// Impute several windows that share a `sampler`, one reverse pass per item,
+/// each drawing only from its own [`BatchItem::rng`].
 ///
-/// All requests share the `sampler`; per-request sample counts may differ.
-/// Results come back in request order and are bitwise identical to solo
-/// [`impute`] calls made with the same per-request RNG states. An empty batch
-/// returns no results; a degenerate request fails the whole batch before any
-/// window is prepared or any stream advances.
+/// Every item is validated and its window prepared before any stream
+/// advances, so one degenerate or misshapen item fails the whole call with
+/// no draws made. Results come back in item order and are bitwise identical
+/// to solo [`impute`] calls with the same per-item RNG states. An empty
+/// batch returns no results.
 pub fn impute_batch(
     trained: &TrainedModel,
     items: &mut [BatchItem<'_>],
     sampler: Sampler,
 ) -> Result<Vec<ImputationResult>> {
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
-    let counts: Vec<usize> = items.iter().map(|i| i.n_samples).collect();
-    validate_request(&counts, sampler, None)?;
-    // Per-request conditioning (normalised values, masks, interpolated 𝒳).
-    // Window shape validation lives in `PreparedWindow::prepare`.
-    let prep_span = st_obs::span!("cond_prep");
+    let opts: Vec<ImputeOptions> =
+        items.iter().map(|i| ImputeOptions { n_samples: i.n_samples, sampler }).collect();
+    opts.iter().try_for_each(ImputeOptions::validate)?;
     let preps = items
         .iter()
-        .map(|item| PreparedWindow::prepare(trained, item.window))
+        .map(|item| prepare_traced(trained, item.window))
         .collect::<Result<Vec<_>>>()?;
-    drop(prep_span);
-    let mut rngs: Vec<&mut StdRng> = items.iter_mut().map(|i| &mut i.rng).collect();
-    Ok(run_reverse(trained, &preps, &counts, &mut rngs, sampler, None))
+    Ok(items
+        .iter_mut()
+        .zip(&preps)
+        .zip(&opts)
+        .map(|((item, prep), opts)| run_reverse(trained, prep, opts, &mut item.rng, None))
+        .collect())
+}
+
+/// [`PreparedWindow::prepare`] under the `cond_prep` span.
+fn prepare_traced(trained: &TrainedModel, window: &Window) -> Result<PreparedWindow> {
+    let _span = st_obs::span!("cond_prep");
+    PreparedWindow::prepare(trained, window)
 }
 
 /// Impute one *warm-started* window — the streaming entry point.
@@ -397,8 +390,8 @@ pub fn impute_batch(
 /// `crates/core/tests/` and `st-serve`'s stream suite pin this.
 ///
 /// Returns [`PristiError::DegenerateConfig`] when `prior` was built for a
-/// different total sample count than `opts.n_samples`, when `opts.n_samples`
-/// is zero, or when the sampler spec is degenerate. The caller guarantees
+/// different sample count than `opts.n_samples`, when `opts.n_samples` is
+/// zero, or when the sampler spec is degenerate. The caller guarantees
 /// the cache was built from *this* prepared window's conditional; a stale
 /// cache silently conditions on the old window (which is exactly the
 /// isolation boundary the streaming dirty-tracking maintains).
@@ -409,83 +402,45 @@ pub fn impute_prepared(
     rng: &mut StdRng,
     prior: Option<&PriorCache>,
 ) -> Result<ImputationResult> {
-    let counts = [opts.n_samples];
-    validate_request(&counts, opts.sampler, prior)?;
-    let preps = std::slice::from_ref(prep);
-    let mut results = run_reverse(trained, preps, &counts, &mut [rng], opts.sampler, prior);
-    Ok(results.pop().expect("one prepared window in, one result out"))
+    opts.validate()?;
+    if let Some(cache) = prior.filter(|c| c.n_samples() != opts.n_samples) {
+        return Err(PristiError::DegenerateConfig(format!(
+            "prior cache was built for {} samples, request wants {}",
+            cache.n_samples(),
+            opts.n_samples
+        )));
+    }
+    Ok(run_reverse(trained, prep, opts, rng, prior))
 }
 
-/// The one request check every entry point runs before preparing a window
-/// or drawing a random number: at least one sample per request, a
-/// non-degenerate sampler spec, and a caller-held prior cache sized for the
-/// batch's total sample count.
-fn validate_request(counts: &[usize], sampler: Sampler, prior: Option<&PriorCache>) -> Result<()> {
-    if counts.contains(&0) {
-        return Err(PristiError::DegenerateConfig("need at least one sample per request".into()));
-    }
-    sampler.validate()?;
-    let s_total: usize = counts.iter().sum();
-    match prior {
-        Some(cache) if cache.n_samples_total() != s_total => {
-            Err(PristiError::DegenerateConfig(format!(
-                "prior cache was built for {} samples, request wants {s_total}",
-                cache.n_samples_total()
-            )))
-        }
-        _ => Ok(()),
-    }
-}
-
-/// The shared reverse-pass core behind [`impute_batch`] and
-/// [`impute_prepared`]: batch the prepared conditioners along the sample
-/// axis, build the prior cache unless the caller holds one, walk the
-/// solver's schedule, merge and denormalise. `preps`, `counts` and `rngs`
-/// run parallel, one entry per request; [`validate_request`] has already
-/// accepted them.
+/// The one reverse pass behind every entry point: replicate the window's
+/// conditional over the ensemble, build the prior cache unless the caller
+/// holds one, walk the solver's schedule drawing every random number from
+/// `rng`, then merge and denormalise. The options are already validated.
 fn run_reverse(
     trained: &TrainedModel,
-    preps: &[PreparedWindow],
-    counts: &[usize],
-    rngs: &mut [&mut StdRng],
-    sampler: Sampler,
+    prep: &PreparedWindow,
+    opts: &ImputeOptions,
+    rng: &mut StdRng,
     prior: Option<&PriorCache>,
-) -> Vec<ImputationResult> {
-    let (n, l) = (trained.model.n_nodes(), trained.model.window_len());
-    let s_total: usize = counts.iter().sum();
+) -> ImputationResult {
+    let (n, l, s) = (trained.model.n_nodes(), trained.model.window_len(), opts.n_samples);
     // The solver owns the schedule walk; `pairs.len()` is the NFE cost of
-    // this request batch (one network evaluation per pair).
-    let mut solver = sampler.solver();
+    // this pass (one network evaluation per pair).
+    let mut solver = opts.sampler.solver();
     solver.reset();
     let pairs = solver.timesteps(&trained.schedule);
-    let _span = st_obs::span!(
-        "impute",
-        requests = preps.len() as u64,
-        samples = s_total as u64,
-        nfe = pairs.len() as u64,
-    );
+    let _span = st_obs::span!("impute", samples = s as u64, nfe = pairs.len() as u64);
 
-    // Batch every request's ensemble along the sample axis: [S_total, N, L]
-    // with each request's conditioner replicated over its samples. `spans`
-    // records each request's flat element range.
+    // The ensemble tensor's per-sample inputs: the conditional and the
+    // target mask, each repeated over the `S` samples as `[S, N, L]`.
     let batch_span = st_obs::span!("batch_assemble");
-    let mut cond_b = NdArray::zeros(&[s_total, n, l]);
-    let mut tmask_b = NdArray::zeros(&[s_total, n, l]);
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(preps.len());
-    let mut offset = 0usize;
-    for (&count, prep) in counts.iter().zip(preps) {
-        for s in 0..count {
-            let base = (offset + s) * n * l;
-            cond_b.data_mut()[base..base + n * l].copy_from_slice(prep.cond.data());
-            tmask_b.data_mut()[base..base + n * l].copy_from_slice(prep.target_mask.data());
-        }
-        spans.push((offset * n * l, count * n * l));
-        offset += count;
-    }
+    let repeat = |a: &NdArray| NdArray::from_vec(&[s, n, l], a.data().repeat(s));
+    let (cond_b, tmask_b) = (repeat(&prep.cond), repeat(&prep.target_mask));
     drop(batch_span);
 
     // Step-invariant prior tensors (PriSTI's `H^pri` and everything derived
-    // from it depend only on the conditional): built once per batch, or
+    // from it depend only on the conditional): built once per pass, or
     // reused outright when a streaming caller kept the cache across ticks.
     let built;
     let cache = {
@@ -493,22 +448,16 @@ fn run_reverse(
         match prior {
             Some(cache) => cache,
             None => {
-                built = batch_prior(trained, preps, counts);
+                built = prep.build_prior(trained, s);
                 &built
             }
         }
     };
 
-    // Chain head, one noise slice per request from its own stream. Every
-    // solver draws exactly one `randn` per request here (stream-invariance
-    // across solvers); a `NoisedPrior` init additionally mixes in the
-    // request's interpolated conditional — the deterministic prior estimate —
-    // which is already replicated per sample in `cond_b`.
-    let mut x = NdArray::zeros(&[s_total, n, l]);
-    for ((&count, rng), &(start, len)) in counts.iter().zip(rngs.iter_mut()).zip(&spans) {
-        let noise = NdArray::randn(&[count, n, l], *rng);
-        x.data_mut()[start..start + len].copy_from_slice(noise.data());
-    }
+    // Chain head: one `randn` draw for the whole ensemble, the same for
+    // every solver; a `NoisedPrior` init additionally mixes in the
+    // interpolated conditional — the deterministic prior estimate.
+    let mut x = NdArray::randn(&[s, n, l], rng);
     if let ChainInit::NoisedPrior { t_start } = solver.init(&trained.schedule) {
         let ab = trained.schedule.alpha_bar(t_start);
         let (a, b) = (ab.sqrt() as f32, (1.0 - ab).sqrt() as f32);
@@ -516,56 +465,31 @@ fn run_reverse(
     }
     x = x.mul(&tmask_b);
 
-    // Reverse process: the solver's mean update is element-wise over the
-    // whole batch (bitwise equal to computing each slice alone); the noise is
-    // added per request slice from that request's stream.
+    // Reverse process: the solver's element-wise mean update, then its
+    // reverse noise over the whole tensor (no draws when the scale is 0).
     for &(t, t_prev) in &pairs {
         let _step_span = st_obs::span!("denoise_step", t = t as u64, t_prev = t_prev as u64);
         let eps_hat = trained.model.predict_eps_eval_cached(cache, &x, t);
         let t0 = st_obs::op_start();
         let step = solver.step(&x, &eps_hat, &trained.schedule, t, t_prev);
         let mut next = step.mean;
-        add_noise_per_request(&mut next, rngs, &spans, step.noise_scale);
+        add_reverse_noise_slice(next.data_mut(), step.noise_scale, rng);
         st_obs::record_op(st_obs::Phase::Fwd, solver.op_label(), t0, next.numel() as u64);
         x = next.mul(&tmask_b);
     }
 
     // Merge with conditioned values and denormalise per sample
     // (sample-parallel: each ensemble member is independent).
-    let merge_span = st_obs::span!("denorm_merge");
+    let _merge_span = st_obs::span!("denorm_merge");
+    let cond_part = prep.values_z.mul(&prep.cond_mask);
     let xd = x.data();
-    let mut out = Vec::with_capacity(preps.len());
-    for ((&count, prep), &(start, _)) in counts.iter().zip(preps).zip(&spans) {
-        let cond_part = prep.values_z.mul(&prep.cond_mask);
-        let samples = st_par::par_map("denorm_samples", count, |s| {
-            let sample =
-                NdArray::from_vec(&[n, l], xd[start + s * n * l..start + (s + 1) * n * l].to_vec());
-            let mut merged = sample.mul(&prep.target_mask).add(&cond_part);
-            trained.normalizer.denormalize_window(&mut merged);
-            merged
-        });
-        out.push(ImputationResult::new(samples, prep.target_mask.clone()));
-    }
-    drop(merge_span);
-    out
-}
-
-/// Add `scale · z` reverse-process noise to each request's slice of the
-/// batched tensor, drawing from that request's stream (no draws at all when
-/// `scale == 0`, e.g. the final DDPM step or deterministic DDIM).
-fn add_noise_per_request(
-    x: &mut NdArray,
-    rngs: &mut [&mut StdRng],
-    spans: &[(usize, usize)],
-    scale: f64,
-) {
-    if scale == 0.0 {
-        return;
-    }
-    let data = x.data_mut();
-    for (rng, &(start, len)) in rngs.iter_mut().zip(spans) {
-        add_reverse_noise_slice(&mut data[start..start + len], scale, rng);
-    }
+    let samples = st_par::par_map("denorm_samples", s, |i| {
+        let sample = NdArray::from_vec(&[n, l], xd[i * n * l..(i + 1) * n * l].to_vec());
+        let mut merged = sample.mul(&prep.target_mask).add(&cond_part);
+        trained.normalizer.denormalize_window(&mut merged);
+        merged
+    });
+    ImputationResult::new(samples, prep.target_mask.clone())
 }
 
 #[cfg(test)]
@@ -737,59 +661,18 @@ mod tests {
         );
     }
 
-    /// The micro-batching keystone: requests coalesced into one batch must
-    /// produce bitwise the same samples as solo calls with the same RNG
-    /// states, for both samplers and uneven ensemble sizes.
-    #[test]
-    fn batched_requests_bitwise_match_solo_calls() {
-        let (data, trained) = trained_setup();
-        let windows = data.windows(Split::Test, 12, 12);
-        let w0 = &windows[0];
-        let w1 = &windows[windows.len() - 1];
-        for sampler in [
-            Sampler::Ddpm,
-            Sampler::Ddim { steps: 4, eta: 0.5 },
-            Sampler::Pndm { steps: 4, order: 4 },
-            Sampler::Refine { steps: 3, strength: 0.5 },
-        ] {
-            let solo0 = {
-                let mut rng = StdRng::seed_from_u64(100);
-                impute(&trained, w0, &ImputeOptions { n_samples: 2, sampler }, &mut rng).unwrap()
-            };
-            let solo1 = {
-                let mut rng = StdRng::seed_from_u64(101);
-                impute(&trained, w1, &ImputeOptions { n_samples: 3, sampler }, &mut rng).unwrap()
-            };
-            let mut items = [
-                BatchItem { window: w0, n_samples: 2, rng: StdRng::seed_from_u64(100) },
-                BatchItem { window: w1, n_samples: 3, rng: StdRng::seed_from_u64(101) },
-            ];
-            let batched = impute_batch(&trained, &mut items, sampler).unwrap();
-            for (solo, both) in [(&solo0, &batched[0]), (&solo1, &batched[1])] {
-                assert_eq!(solo.n_samples(), both.n_samples());
-                for (a, b) in solo.samples.iter().zip(&both.samples) {
-                    assert!(
-                        a.to_bytes() == b.to_bytes(),
-                        "batched sample diverges from solo call ({sampler:?})"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn prior_cache_exposes_footprint() {
         let (data, trained) = trained_setup();
         let w = &data.windows(Split::Test, 12, 12)[0];
-        let mut values_z = w.values.clone();
-        trained.normalizer.normalize_window(&mut values_z);
-        let cond_mask = w.cond_mask();
-        let cond = build_cond(&values_z, &cond_mask, trained.model.cfg.use_interpolation);
-        let (n, l) = (w.n_nodes(), w.len());
-        let cond_r = NdArray::from_vec(&[1, n, l], cond.data().to_vec());
-        let cache = trained.model.build_prior_cache(&cond_r, &[3]);
-        assert_eq!(cache.n_samples_total(), 3);
+        let prep = PreparedWindow::prepare(&trained, w).unwrap();
+        let cache = trained.model.build_prior_cache(&prep.cond, 3);
+        assert_eq!(cache.n_samples(), 3);
         assert!(cache.bytes() > 0);
+        // Only the per-sample tensors grow with the ensemble; `U` and the
+        // adaptive adjacency are stored once.
+        let one = trained.model.build_prior_cache(&prep.cond, 1);
+        assert!(one.bytes() < cache.bytes() && cache.bytes() < 3 * one.bytes());
     }
 
     /// The streaming keystone: a warm [`impute_prepared`] call — prepared
@@ -914,21 +797,54 @@ mod tests {
         assert!(matches!(err, PristiError::DegenerateConfig(_)));
     }
 
-    /// One degenerate request fails the whole batch before any stream
-    /// advances: validation precedes every random draw.
+    /// One degenerate or misshapen item fails the whole batch before any
+    /// stream advances: every item is validated and prepared before the
+    /// first draw.
     #[test]
     fn degenerate_batch_item_fails_before_any_draw() {
         let (data, trained) = trained_setup();
-        let w = &data.windows(Split::Test, 12, 12)[0];
+        let windows = data.windows(Split::Test, 12, 12);
+        let (w0, w1) = (&windows[0], &windows[windows.len() - 1]);
+        let short = data.window_at(0, 6);
+        for (last, n_samples) in [(w1, 0), (&short, 3)] {
+            let mut items = [
+                BatchItem { window: w0, n_samples: 2, rng: StdRng::seed_from_u64(100) },
+                BatchItem { window: w1, n_samples: 3, rng: StdRng::seed_from_u64(101) },
+                BatchItem { window: last, n_samples, rng: StdRng::seed_from_u64(102) },
+            ];
+            let before: Vec<_> = items.iter().map(|i| i.rng.state()).collect();
+            let err = impute_batch(&trained, &mut items, Sampler::Ddpm).unwrap_err();
+            assert!(matches!(
+                err,
+                PristiError::DegenerateConfig(_) | PristiError::ShapeMismatch { .. }
+            ));
+            let after: Vec<_> = items.iter().map(|i| i.rng.state()).collect();
+            assert_eq!(before, after, "a rejected batch must not advance any stream");
+        }
+    }
+
+    /// Results come back in item order, each sized by its own item, and each
+    /// item's stream ends where a solo [`impute`] call leaves it.
+    #[test]
+    fn batch_results_come_back_in_item_order() {
+        let (data, trained) = trained_setup();
+        let windows = data.windows(Split::Test, 12, 12);
+        let (w0, w1) = (&windows[0], &windows[windows.len() - 1]);
+        let sampler = Sampler::Ddim { steps: 4, eta: 0.5 };
         let mut items = [
-            BatchItem { window: w, n_samples: 2, rng: StdRng::seed_from_u64(60) },
-            BatchItem { window: w, n_samples: 0, rng: StdRng::seed_from_u64(61) },
+            BatchItem { window: w0, n_samples: 2, rng: StdRng::seed_from_u64(100) },
+            BatchItem { window: w1, n_samples: 3, rng: StdRng::seed_from_u64(101) },
         ];
-        let before: Vec<_> = items.iter().map(|i| i.rng.state()).collect();
-        let err = impute_batch(&trained, &mut items, Sampler::Ddpm).unwrap_err();
-        assert!(matches!(err, PristiError::DegenerateConfig(_)));
-        let after: Vec<_> = items.iter().map(|i| i.rng.state()).collect();
-        assert_eq!(before, after, "a rejected batch must not advance any stream");
+        let results = impute_batch(&trained, &mut items, sampler).unwrap();
+        assert_eq!(results.len(), 2);
+        for ((res, item), seed) in results.iter().zip(&items).zip([100, 101]) {
+            assert_eq!(res.n_samples(), item.n_samples);
+            assert_eq!(res.target_mask.to_bytes(), item.window.cond_mask().map(|v| 1.0 - v).to_bytes());
+            let mut solo = StdRng::seed_from_u64(seed);
+            let opts = ImputeOptions { n_samples: item.n_samples, sampler };
+            impute(&trained, item.window, &opts, &mut solo).unwrap();
+            assert_eq!(item.rng.state(), solo.state(), "item stream diverges from a solo call");
+        }
     }
 
     #[test]

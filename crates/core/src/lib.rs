@@ -21,7 +21,7 @@
 //! * the **training loop** of Algorithm 1 ([`train`]) and the **imputation /
 //!   ensemble sampling** of Algorithm 2 ([`impute`]) — which by default runs
 //!   the prior-cached inference path (DESIGN.md §11): everything derived
-//!   from `H^pri` is computed once per request into a
+//!   from `H^pri` is computed once per window into a
 //!   [`model::PriorCache`], and each denoise step evaluates only the
 //!   noise-dependent half of the network.
 //!

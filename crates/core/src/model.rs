@@ -250,41 +250,37 @@ impl PristiModel {
     /// conditional input, and each layer's [`LayerPrior`] (prior-derived
     /// attention weights and adaptive adjacency).
     ///
-    /// * `cond` — `[R, N, L]` conditional information, one row per *request*
-    ///   (deduplicated: not per ensemble sample);
-    /// * `counts` — ensemble size of each request (`counts.len() == R`).
+    /// * `cond` — `[N, L]` conditional information of one window;
+    /// * `n_samples` — the ensemble size the cache serves per step.
     ///
-    /// The prior runs once at batch `R` and its batch-carrying outputs are
-    /// replicated per request to `S_total = Σ counts` rows — valid bitwise
-    /// because every kernel in the model is batch-slice independent (each
-    /// batch element's output depends only on its own slice; pinned by the
-    /// batched-vs-solo tests). [`Self::predict_eps_eval_cached`] then runs
-    /// only the step-dependent noise path per denoise step.
-    pub fn build_prior_cache(&self, cond: &NdArray, counts: &[usize]) -> PriorCache {
+    /// The prior runs once at batch 1 and its batch-carrying outputs are
+    /// repeated to `n_samples` rows — valid bitwise because every kernel in
+    /// the model is batch-slice independent (each batch element's output
+    /// depends only on its own slice; `crates/core/tests/prior_cache.rs`
+    /// pins the cached chain against the uncached one).
+    /// [`Self::predict_eps_eval_cached`] then runs only the step-dependent
+    /// noise path per denoise step.
+    pub fn build_prior_cache(&self, cond: &NdArray, n_samples: usize) -> PriorCache {
         let (n, l) = (self.n_nodes, self.len);
-        let r = counts.len();
-        assert!(r > 0, "prior cache needs at least one request");
-        assert!(counts.iter().all(|&c| c > 0), "requests need at least one sample");
-        assert_eq!(cond.shape(), &[r, n, l], "cond shape mismatch");
-        let s_total: usize = counts.iter().sum();
+        assert!(n_samples > 0, "prior cache needs at least one sample");
+        assert_eq!(cond.shape(), &[n, l], "cond shape mismatch");
 
         let mut g = Graph::new_eval(&self.store);
-        let cond_tx = g.input(cond.clone());
-        let cond4_tx = g.reshape(cond_tx, &[r, n, l, 1]);
+        let cond4_tx = g.input(cond.reshaped(&[1, n, l, 1]));
         let u_tx = self.aux.forward(&mut g);
-        let expand = |g: &Graph<'_>, w: Tx| expand_batch(g.value(w), r, counts, s_total);
+        let repeat = |g: &Graph<'_>, w: Tx| repeat_batch(g.value(w), n_samples);
         let layers = self
-            .layer_priors(&mut g, cond4_tx, u_tx, r)
+            .layer_priors(&mut g, cond4_tx, u_tx, 1)
             .into_iter()
             .map(|p| LayerPrior {
-                attn_tem: p.attn_tem.map(|w| expand(&g, w)),
-                attn_spa: p.attn_spa.map(|w| expand(&g, w)),
+                attn_tem: p.attn_tem.map(|w| repeat(&g, w)),
+                attn_spa: p.attn_spa.map(|w| repeat(&g, w)),
                 mpnn_adp: p.mpnn_adp.map(|a| g.value(a).clone()),
             })
             .collect();
         PriorCache {
-            s_total,
-            cond4: expand(&g, cond4_tx),
+            n_samples,
+            cond4: repeat(&g, cond4_tx),
             u: g.value(u_tx).clone(),
             layers,
         }
@@ -296,10 +292,10 @@ impl PristiModel {
     /// [`Self::predict_eps_eval`], so it is bitwise identical to it on the
     /// replicated conditional.
     ///
-    /// `noisy` must be `[S_total, N, L]` with `S_total` matching the cache.
+    /// `noisy` must be `[S, N, L]` with `S` the cache's sample count.
     pub fn predict_eps_eval_cached(&self, cache: &PriorCache, noisy: &NdArray, t: usize) -> NdArray {
         let (n, l) = (self.n_nodes, self.len);
-        let b = cache.s_total;
+        let b = cache.n_samples;
         assert_eq!(noisy.shape(), &[b, n, l], "noisy shape mismatch");
 
         let mut g = Graph::new_eval(&self.store);
@@ -322,7 +318,7 @@ impl PristiModel {
     }
 }
 
-/// Step-invariant tensors for one coalesced impute batch, built by
+/// Step-invariant tensors for one window's ensemble, built by
 /// [`PristiModel::build_prior_cache`] and consumed by
 /// [`PristiModel::predict_eps_eval_cached`] at every reverse-diffusion step.
 ///
@@ -330,20 +326,20 @@ impl PristiModel {
 /// footprint, and the bitwise-equality argument.
 #[derive(Debug, Clone)]
 pub struct PriorCache {
-    /// Total ensemble rows `Σ counts` the cache was expanded to.
-    s_total: usize,
-    /// Conditional information replicated per sample, `[S_total, N, L, 1]`.
+    /// Ensemble rows the cache was repeated to.
+    n_samples: usize,
+    /// Conditional information repeated per sample, `[S, N, L, 1]`.
     cond4: NdArray,
     /// Auxiliary embedding `U`, `[N, L, d]` (broadcasts over the batch).
     u: NdArray,
-    /// Per-layer prior tensors, attention weights expanded to `S_total`.
+    /// Per-layer prior tensors, attention weights repeated per sample.
     layers: Vec<LayerPrior<NdArray>>,
 }
 
 impl PriorCache {
-    /// Total ensemble rows (`Σ counts`) this cache serves per step.
-    pub fn n_samples_total(&self) -> usize {
-        self.s_total
+    /// Ensemble rows this cache serves per step.
+    pub fn n_samples(&self) -> usize {
+        self.n_samples
     }
 
     /// Approximate memory footprint of all cached tensors in bytes.
@@ -358,26 +354,11 @@ impl PriorCache {
     }
 }
 
-/// Replicate each request's contiguous chunk of a batch-major tensor
-/// (`shape[0]` divisible by `r`, request-major) `counts[r]` times, growing the
-/// leading dimension from `R·rest` to `S_total·rest`.
-fn expand_batch(arr: &NdArray, r: usize, counts: &[usize], s_total: usize) -> NdArray {
-    if counts.iter().all(|&c| c == 1) {
-        return arr.clone();
-    }
-    let shape = arr.shape();
-    debug_assert_eq!(shape[0] % r, 0, "leading dim {} not divisible by {r}", shape[0]);
-    let chunk = arr.numel() / r;
-    let mut out_shape = shape.to_vec();
-    out_shape[0] = shape[0] / r * s_total;
-    let mut data = Vec::with_capacity(chunk * s_total);
-    for (ri, &c) in counts.iter().enumerate() {
-        let src = &arr.data()[ri * chunk..(ri + 1) * chunk];
-        for _ in 0..c {
-            data.extend_from_slice(src);
-        }
-    }
-    NdArray::from_vec(&out_shape, data)
+/// Repeat a batch-1 tensor `s` times along its leading dimension.
+fn repeat_batch(arr: &NdArray, s: usize) -> NdArray {
+    let mut shape = arr.shape().to_vec();
+    shape[0] *= s;
+    NdArray::from_vec(&shape, arr.data().repeat(s))
 }
 
 #[cfg(test)]
@@ -453,7 +434,7 @@ mod tests {
     /// The cached evaluator must be bitwise identical to the plain one for
     /// every ablation variant — including the prior-free ones, where the
     /// attention weights cannot be cached and the cached path must fall back
-    /// to self-attention — and across per-request expansion (counts ≠ 1).
+    /// to self-attention — and across the per-sample repetition (S ≠ 1).
     #[test]
     fn cached_eval_matches_uncached_for_all_variants() {
         let mut rng = StdRng::seed_from_u64(65);
@@ -469,18 +450,11 @@ mod tests {
         ] {
             let cfg = tiny_cfg().with_variant(v);
             let model = PristiModel::new(cfg, &graph(4), 5, &mut rng).unwrap();
-            let (n, l) = (4, 5);
-            // Two requests with ensemble sizes 2 and 1.
-            let cond_r = NdArray::randn(&[2, n, l], &mut rng);
-            let counts = [2usize, 1];
-            let mut cond_b = NdArray::zeros(&[3, n, l]);
-            let chunk = n * l;
-            for (row, req) in [0usize, 0, 1].into_iter().enumerate() {
-                cond_b.data_mut()[row * chunk..(row + 1) * chunk]
-                    .copy_from_slice(&cond_r.data()[req * chunk..(req + 1) * chunk]);
-            }
-            let noisy = NdArray::randn(&[3, n, l], &mut rng);
-            let cache = model.build_prior_cache(&cond_r, &counts);
+            let (n, l, s) = (4, 5, 3);
+            let cond = NdArray::randn(&[n, l], &mut rng);
+            let cond_b = NdArray::from_vec(&[s, n, l], cond.data().repeat(s));
+            let noisy = NdArray::randn(&[s, n, l], &mut rng);
+            let cache = model.build_prior_cache(&cond, s);
             for t in [1usize, 5] {
                 let plain = model.predict_eps_eval(&noisy, &cond_b, t);
                 let cached = model.predict_eps_eval_cached(&cache, &noisy, t);

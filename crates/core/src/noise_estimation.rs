@@ -32,7 +32,7 @@ use st_tensor::param::ParamStore;
 /// `H^pri` (Eqs. 7–8), which does not depend on the diffusion step, and the
 /// adaptive MPNN adjacency depends only on learned node embeddings. Training
 /// keeps all three on its tape (`T = Tx`, so gradients reach the prior and
-/// the Q/K projections); inference materialises them once per request
+/// the Q/K projections); inference materialises them once per window
 /// (`T = NdArray`, held by [`crate::PriorCache`]) and re-injects them as
 /// tape inputs at every reverse step. Fields are `None` exactly when the
 /// corresponding sub-module is disabled by the configuration or (for

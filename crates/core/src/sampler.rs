@@ -13,9 +13,7 @@
 //! refine:STEPS[:STRENGTH]   noised-prior refine chain, strength defaults to 0.5
 //! ```
 //!
-//! The spec string is also the serve coalescing key: two requests batch
-//! together exactly when their specs are equal (checkpoint-independent — the
-//! spec never mentions a model).
+//! Specs are checkpoint-independent: a spec never mentions a model.
 
 use crate::error::{PristiError, Result};
 use st_diffusion::process::{self, GenerativeProcess};
@@ -78,7 +76,8 @@ pub enum Sampler {
 impl Sampler {
     /// Check the spec for degenerate values, with the same
     /// [`PristiError::DegenerateConfig`] contract everywhere a sampler enters
-    /// the system (`impute_batch`, the serve admission path, CLI parsing).
+    /// the system (every impute entry point, the serve admission path, CLI
+    /// parsing).
     pub fn validate(&self) -> Result<()> {
         let deg = |msg: String| Err(PristiError::DegenerateConfig(msg));
         match *self {
@@ -184,7 +183,7 @@ impl FromStr for Sampler {
     ///     "refine:4".parse::<Sampler>().unwrap(),
     ///     Sampler::Refine { steps: 4, strength: 0.5 },
     /// );
-    /// // Specs round-trip through Display — the serve coalescing key.
+    /// // Specs round-trip through Display.
     /// assert_eq!("pndm:6:2".parse::<Sampler>().unwrap().to_string(), "pndm:6:2");
     /// // Degenerate specs are typed errors, not panics.
     /// assert!("ddim:0".parse::<Sampler>().is_err());

@@ -18,7 +18,7 @@
 
 use pristi_core::train::{train, TrainConfig};
 use pristi_core::{impute, impute_batch, BatchItem, ImputeOptions, PristiConfig, Sampler};
-use st_data::dataset::{Split, Window};
+use st_data::dataset::Split;
 use st_data::generators::{generate_air_quality, AirQualityConfig};
 use st_data::missing::inject_point_missing;
 use st_diffusion::{
@@ -274,7 +274,8 @@ fn solo_and_batched_streams_agree_for_every_solver_across_thread_counts() {
 
     // (solver index → per-request (bytes, rng state)) at one thread, the
     // reference every other thread count must reproduce.
-    let mut reference: Vec<Vec<(Vec<Vec<u8>>, [u64; 4])>> = Vec::new();
+    type Outcome = (Vec<Vec<u8>>, [u64; 4]);
+    let mut reference: Vec<Vec<Outcome>> = Vec::new();
     for threads in [1usize, 4] {
         st_par::set_threads(threads);
         for (si, &sampler) in solvers.iter().enumerate() {

@@ -25,8 +25,7 @@ pub fn q_sample(x0: &NdArray, eps: &NdArray, schedule: &DiffusionSchedule, t: us
 /// `√α_t`; the authors' released code uses `√α_t`).
 ///
 /// The computation is purely element-wise, so the mean of any batch slice is
-/// bitwise identical to the mean of that slice computed on its own — the
-/// property the micro-batching imputation service relies on.
+/// bitwise identical to the mean of that slice computed on its own.
 pub fn p_sample_mean(
     x_t: &NdArray,
     eps_hat: &NdArray,
@@ -51,8 +50,8 @@ pub fn p_sample_noise_scale(schedule: &DiffusionSchedule, t: usize) -> f64 {
 /// Add `scale · z, z ~ N(0, 1)` to every element of `buf`, drawing from
 /// `rng` in buffer order. No-op (and no RNG draws) when `scale == 0`.
 ///
-/// Exposed on the raw slice so callers owning a batched `[S, N, L]` tensor
-/// can drive each request's slice from its own RNG stream.
+/// Exposed on the raw slice so a caller owning an `[S, N, L]` ensemble
+/// tensor can add the noise in place.
 pub fn add_reverse_noise_slice(buf: &mut [f32], scale: f64, rng: &mut StdRng) {
     if scale == 0.0 {
         return;

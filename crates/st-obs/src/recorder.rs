@@ -24,8 +24,8 @@
 //!   `ST_PAR_THREADS` values.
 //! * Request-scoped trace ids ([`trace_scope`]) are a thread-local ambient
 //!   value stamped onto every span opened while the scope is active — the
-//!   serve path sets one per coalesced batch so per-denoise-step spans can
-//!   be attributed to the requests they served.
+//!   serve path sets one per request so per-denoise-step spans can be
+//!   attributed to the request they served.
 
 use crate::event::{Event, Value, SCHEMA};
 use crate::sink::Sink;
@@ -479,8 +479,8 @@ pub struct TraceGuard {
 
 /// Set the ambient trace id for this thread until the guard drops. Every
 /// span opened while the scope is active carries `trace` on its end event,
-/// so a whole subtree (e.g. all denoise-step spans of one coalesced serve
-/// batch) can be attributed to the request(s) it served.
+/// so a whole subtree (e.g. all denoise-step spans of one served request)
+/// can be attributed to that request.
 pub fn trace_scope(trace: u64) -> TraceGuard {
     let prev = TRACE.with(|t| t.replace(Some(trace)));
     TraceGuard { prev }

@@ -385,14 +385,9 @@ impl ImputeService {
     /// Submit-time validation, so a malformed request never reaches a
     /// worker.
     fn validate(&self, req: &ImputeRequest) -> Result<()> {
-        if req.n_samples < 1 {
-            return Err(PristiError::DegenerateConfig(
-                "need at least one sample per request".into(),
-            ));
-        }
-        // Same sampler-spec rules as `impute_batch` and the CLI parser — one
-        // validation surface (`Sampler::validate`) for the whole system.
-        req.sampler.validate()?;
+        // The same options check as every impute entry point and the CLI
+        // settings — one validation surface for the whole system.
+        ImputeOptions { n_samples: req.n_samples, sampler: req.sampler }.validate()?;
         if req.window.n_nodes() != self.shared.n_nodes {
             return Err(PristiError::ShapeMismatch {
                 what: "window node count",

@@ -103,6 +103,22 @@ impl Default for StreamConfig {
     }
 }
 
+impl StreamConfig {
+    /// Check these settings against a model of window length `window_len`:
+    /// a valid sampler spec, `n_samples >= 1` and `1 <= horizon <= L`, else
+    /// [`PristiError::DegenerateConfig`].
+    pub fn validate(&self, window_len: usize) -> Result<()> {
+        ImputeOptions { n_samples: self.n_samples, sampler: self.sampler }.validate()?;
+        if self.horizon < 1 || self.horizon > window_len {
+            return Err(PristiError::DegenerateConfig(format!(
+                "stream horizon must be in 1..={window_len}, got {}",
+                self.horizon
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// The RNG stream for one session's `seq`-th revision impute, mixed from
 /// the engine seed exactly like [`crate::request_rng`] mixes request ids —
 /// disjoint per `(session, seq)`, so a replayed tick log reproduces every
@@ -178,22 +194,10 @@ pub struct StreamSession {
 }
 
 impl StreamSession {
-    /// Open a session. Validates the sampler spec, `n_samples >= 1` and
-    /// `1 <= horizon <= L`.
+    /// Open a session. Fails on settings [`StreamConfig::validate`] refuses.
     pub fn new(trained: Arc<TrainedModel>, cfg: StreamConfig, session_id: u64) -> Result<Self> {
-        cfg.sampler.validate()?;
-        if cfg.n_samples < 1 {
-            return Err(PristiError::DegenerateConfig(
-                "stream needs at least one ensemble sample".into(),
-            ));
-        }
         let (n, l) = (trained.model.n_nodes(), trained.model.window_len());
-        if cfg.horizon < 1 || cfg.horizon > l {
-            return Err(PristiError::DegenerateConfig(format!(
-                "stream horizon must be in 1..={l}, got {}",
-                cfg.horizon
-            )));
-        }
+        cfg.validate(l)?;
         // The pre-stream window is all-missing: values_z holds the
         // normalised raw zeros a cold window would hold, the mask is zero,
         // and the interpolation is the all-`fallback` window.
@@ -372,6 +376,17 @@ impl Default for StreamServerConfig {
     }
 }
 
+impl StreamServerConfig {
+    /// [`StreamConfig::validate`] plus at least one worker.
+    pub fn validate(&self, window_len: usize) -> Result<()> {
+        self.session.validate(window_len)?;
+        if self.workers < 1 {
+            return Err(PristiError::DegenerateConfig("stream needs at least one worker".into()));
+        }
+        Ok(())
+    }
+}
+
 /// Totals of one [`run_stream`] drive.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamSummary {
@@ -403,16 +418,21 @@ struct WorkItem {
 /// written as soon as it is ready.
 ///
 /// Used by `pristi serve --stream` (stdin/stdout) and driven in-memory by
-/// the loadtest harness and the stream test-suite. Only I/O failures are
-/// `Err`; malformed lines and per-tick imputation failures become typed
-/// error *responses* (see the [module docs](self)) and the loop continues.
+/// the loadtest harness and the stream test-suite. Settings that
+/// [`StreamServerConfig::validate`] refuses fail with
+/// [`std::io::ErrorKind::InvalidInput`] before any input is read; otherwise
+/// only I/O failures are `Err`. Malformed lines and per-tick imputation
+/// failures become typed error *responses* (see the [module docs](self))
+/// and the loop continues.
 pub fn run_stream<R: BufRead, W: Write + Send>(
     trained: Arc<TrainedModel>,
     cfg: &StreamServerConfig,
     input: R,
     output: W,
 ) -> std::io::Result<StreamSummary> {
-    let workers = cfg.workers.max(1);
+    cfg.validate(trained.model.window_len())
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    let workers = cfg.workers;
     let session_cfg = cfg.session;
     let max_line = max_line_bytes(trained.model.n_nodes());
     let mut summary = StreamSummary::default();

@@ -45,8 +45,8 @@ ST_PAR_THREADS=4 cargo test -q --workspace --offline
 echo "== cargo test -q --workspace (offline, ST_SIMD=0 scalar tier) =="
 ST_SIMD=0 cargo test -q --workspace --offline
 
-echo "== cargo clippy --all-targets (offline, deny warnings) =="
-cargo clippy --all-targets --offline -- -D warnings
+echo "== cargo clippy --workspace --all-targets (offline, deny warnings) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo doc --no-deps (offline, deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --quiet
@@ -66,7 +66,6 @@ for entry in \
     quantile_cached_32x36x24 \
     quantile_resort_32x36x24 \
     serve_serial_4req_x2samples \
-    serve_batched_4req_x2samples \
     p_sample_step_cached_8x36x24 \
     p_sample_step_uncached_8x36x24 \
     impute_cached_4req_x2samples \
@@ -202,6 +201,29 @@ STATUS=0
 "$PRISTI" serve --ckpt "$SMOKE_DIR/model.ckpt" --batch 4 < /dev/null 2>/dev/null || STATUS=$?
 [ "$STATUS" -eq 2 ] \
     || { echo "error: serve --batch exited $STATUS, expected usage error 2" >&2; exit 1; }
+
+echo "== degenerate serve settings are refused at startup =="
+# Each must exit non-zero with nothing on stdout although valid lines wait on
+# stdin: the settings are checked once, before a line is read, instead of
+# answering every line with degenerate_config.
+while read -r input args; do
+    STATUS=0
+    # shellcheck disable=SC2086  # $args is a word list on purpose
+    "$PRISTI" serve $args --ckpt "$SMOKE_DIR/model.ckpt" < "$SMOKE_DIR/$input" \
+        > "$SMOKE_DIR/refused.jsonl" 2>/dev/null || STATUS=$?
+    { [ "$STATUS" -ne 0 ] && [ ! -s "$SMOKE_DIR/refused.jsonl" ]; } \
+        || { echo "error: serve $args exited $STATUS with output, expected a startup refusal" >&2; exit 1; }
+done <<'EOF'
+ticks.jsonl --stream --horizon 0
+ticks.jsonl --stream --horizon 13
+ticks.jsonl --stream --samples 0
+ticks.jsonl --stream --ddim 0
+ticks.jsonl --stream --workers 0
+requests.jsonl --samples 0
+requests.jsonl --ddim 0
+requests.jsonl --workers 0
+EOF
+echo "startup gate: 8 degenerate serve settings refused before reading stdin"
 
 echo "== wire finite-value gate: an f32-overflowing cell is a bad_request =="
 # 1e39 overflows f32; each mode must answer the line with exactly one typed

@@ -338,21 +338,20 @@ pub(crate) fn get_usize(flags: &Flags, key: &str, default: usize) -> usize {
 
 /// Resolve the sampler from `--sampler SPEC` (the shared spec grammar:
 /// `ddpm`, `ddim:K[:ETA]`, `pndm:K[:ORDER]`, `refine:K[:STRENGTH]`) with
-/// `--ddim K` kept as a back-compat alias for `ddim:K`. Neither flag means
-/// `default` (full DDPM for the CLI entry points).
+/// `--ddim K` kept as a back-compat alias for `ddim:K`, parsed and validated
+/// as that spec. Neither flag means `default` (full DDPM for the CLI entry
+/// points).
 fn parse_sampler_flags(
     flags: &Flags,
     default: Sampler,
 ) -> Result<Sampler, String> {
-    match (flags.get("sampler"), flags.get("ddim")) {
-        (Some(_), Some(_)) => Err("--sampler and --ddim are mutually exclusive".into()),
-        (Some(spec), None) => spec.parse::<Sampler>().map_err(|e| e.to_string()),
-        (None, Some(k)) => {
-            let steps = k.parse::<usize>().map_err(|_| format!("bad --ddim value `{k}`"))?;
-            Ok(Sampler::Ddim { steps, eta: 0.0 })
-        }
-        (None, None) => Ok(default),
-    }
+    let spec = match (flags.get("sampler"), flags.get("ddim")) {
+        (Some(_), Some(_)) => return Err("--sampler and --ddim are mutually exclusive".into()),
+        (Some(spec), None) => spec.clone(),
+        (None, Some(k)) => format!("ddim:{k}"),
+        (None, None) => return Ok(default),
+    };
+    spec.parse::<Sampler>().map_err(|e| e.to_string())
 }
 
 fn run_generate(flags: Flags) -> ExitCode {
@@ -426,6 +425,11 @@ fn run_impute(flags: Flags) -> ExitCode {
         }
     };
     let seed = get_usize(&flags, "seed", 7) as u64;
+    let opts = ImputeOptions { n_samples, sampler };
+    if let Err(e) = opts.validate() {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
 
     let data = match load_dataset(Path::new(data_path), Path::new(coords_path), steps_per_day) {
         Ok(d) => d,
@@ -482,7 +486,7 @@ fn run_impute(flags: Flags) -> ExitCode {
     }
     for (wi, &t0) in starts.iter().enumerate() {
         let w = data.window_at(t0, window);
-        let res = match impute(&trained, &w, &ImputeOptions { n_samples, sampler }, &mut rng) {
+        let res = match impute(&trained, &w, &opts, &mut rng) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("imputation failed: {e}");
@@ -646,16 +650,28 @@ fn run_serve(flags: Flags) -> ExitCode {
     let (n_nodes, window_len) = (trained.model.n_nodes(), trained.model.window_len());
     let samples = get_usize(&flags, "samples", 8);
     let (seed, workers) = (get_usize(&flags, "seed", 0) as u64, get_usize(&flags, "workers", 1));
+    let horizon = get_usize(&flags, "horizon", 4);
+    let session = StreamConfig { n_samples: samples, sampler, horizon, base_seed: seed };
+    let stream_cfg = StreamServerConfig { session, workers };
+    // Degenerate settings are refused once, here, before a line is read —
+    // not answered line by line. Request mode's worker count is checked by
+    // `ImputeService::start`.
+    let checked = if stream {
+        stream_cfg.validate(window_len)
+    } else {
+        ImputeOptions { n_samples: samples, sampler }.validate()
+    };
+    if let Err(e) = checked {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
     let stdin = std::io::stdin();
     let served = if stream {
-        let horizon = get_usize(&flags, "horizon", 4);
-        let session = StreamConfig { n_samples: samples, sampler, horizon, base_seed: seed };
         eprintln!(
             "streaming {ckpt_path} ({n_nodes} sensors, window {window_len}, horizon {horizon}, \
              sampler {sampler}); reading JSONL ticks from stdin"
         );
-        let cfg = StreamServerConfig { session, workers };
-        run_stream(std::sync::Arc::new(trained), &cfg, stdin.lock(), std::io::stdout()).map(|s| {
+        run_stream(std::sync::Arc::new(trained), &stream_cfg, stdin.lock(), std::io::stdout()).map(|s| {
             eprintln!(
                 "stream closed: {} ok ({} imputed, {} skipped), {} errors",
                 s.ok, s.imputes, s.skips, s.errors
@@ -760,5 +776,17 @@ mod tests {
         }
         assert!(flags(&["--horizon", "4"], &STREAM_FLAGS).is_ok());
         assert!(flags(&["--horizon", "4"], &SERVE_FLAGS).is_err(), "--horizon is stream-only");
+    }
+
+    #[test]
+    fn ddim_alias_is_validated_like_the_sampler_spec() {
+        let sampler = |args: &[&str]| {
+            parse_sampler_flags(&flags(args, &SERVE_FLAGS).unwrap(), Sampler::Ddpm)
+        };
+        let alias = sampler(&["--ddim", "0"]);
+        assert!(alias.is_err(), "--ddim 0 must be refused");
+        assert_eq!(alias, sampler(&["--sampler", "ddim:0"]));
+        assert_eq!(sampler(&["--ddim", "4"]), Ok(Sampler::Ddim { steps: 4, eta: 0.0 }));
+        assert_eq!(sampler(&[]), Ok(Sampler::Ddpm));
     }
 }
